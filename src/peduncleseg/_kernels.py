@@ -1,10 +1,18 @@
 """Hot numeric kernels with two interchangeable backends.
 
 The numba backend JIT-compiles the loop implementations below; the numpy
-backend is a vectorized translation of the same arithmetic.  Selection:
-numba is used when importable unless ``PEDUNCLESEG_DISABLE_NUMBA=1`` is set,
-in which case the numpy path runs.  ``benchmarks/bench_backends.py`` times
-the two against each other.
+backend computes the same results vectorised.  Selection: numba is used when
+importable unless ``PEDUNCLESEG_DISABLE_NUMBA=1`` is set, in which case the
+numpy path runs.
+
+The loop PFH kernel bins the Darboux triple of a pair once for every
+neighbourhood that holds it; a default scene has about 28 such instances per
+unique pair.  The numpy PFH kernel works over a table of unique pairs
+instead: it lists the pairs (i < j) that the queried neighbourhoods contain,
+as the off-diagonal nonzeros of A^T A with A the query-by-member matrix,
+bins each pair once with the loop kernel's arithmetic, then looks up every
+instance's pair by key and counts the bin codes per query with
+``np.bincount``.  Its counts are the loop kernel's, integer for integer.
 
 All kernels accumulate integer histogram counts / fixed-order float sums so
 results do not depend on thread count or batch size.
@@ -16,6 +24,7 @@ import math
 import os
 
 import numpy as np
+from scipy import sparse
 
 DISABLE_ENV = "PEDUNCLESEG_DISABLE_NUMBA"
 
@@ -226,99 +235,141 @@ def _decision_values_loops(x, sv, coef, bias, kind, gamma, out):
 # ---------------------------------------------------------------------------
 
 _PAIR_BATCH = 2_000_000
-_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SKIP = 3 * NBINS          # histogram column that collects degenerate pairs
+_HIST_WIDTH = 3 * NBINS + 1
 
 
-def _triu(k):
-    cached = _triu_cache.get(k)
-    if cached is None:
-        cached = np.triu_indices(k, 1)
-        _triu_cache[k] = cached
-    return cached
+def _pair_positions(k):
+    """Positions (a, b), a < b, of every pair among k members, ordered by b.
+
+    The pairs of the first k' <= k members are then a prefix, so one table
+    serves every neighbourhood size up to k.
+    """
+    b = np.repeat(np.arange(k), np.arange(k))
+    a = np.arange(b.size) - b * (b - 1) // 2
+    return a, b
 
 
-def _bin_pairs_numpy(i_arr, j_arr, q_arr, xyz, normals, counts, pair_counts):
-    dx = xyz[j_arr, 0] - xyz[i_arr, 0]
-    dy = xyz[j_arr, 1] - xyz[i_arr, 1]
-    dz = xyz[j_arr, 2] - xyz[i_arr, 2]
-    d2 = dx * dx + dy * dy + dz * dz
-    keep = d2 > 0.0
-    if not np.all(keep):
-        i_arr, j_arr, q_arr = i_arr[keep], j_arr[keep], q_arr[keep]
-        dx, dy, dz, d2 = dx[keep], dy[keep], dz[keep], d2[keep]
-    d = np.sqrt(d2)
-    ux, uy, uz = dx / d, dy / d, dz / d
-    nix, niy, niz = normals[i_arr, 0], normals[i_arr, 1], normals[i_arr, 2]
-    njx, njy, njz = normals[j_arr, 0], normals[j_arr, 1], normals[j_arr, 2]
-    dot_i = nix * ux + niy * uy + niz * uz
-    dot_j = njx * ux + njy * uy + njz * uz
-    swap = np.abs(dot_i) < np.abs(dot_j)
-    sx = np.where(swap, njx, nix)
-    sy = np.where(swap, njy, niy)
-    sz = np.where(swap, njz, niz)
-    tx = np.where(swap, nix, njx)
-    ty = np.where(swap, niy, njy)
-    tz = np.where(swap, niz, njz)
-    sign = np.where(swap, -1.0, 1.0)
-    usx, usy, usz = sign * ux, sign * uy, sign * uz
-    cx = sy * usz - sz * usy
-    cy = sz * usx - sx * usz
-    cz = sx * usy - sy * usx
-    c2 = cx * cx + cy * cy + cz * cz
-    keep = c2 >= DEGENERATE_CROSS_SQ
-    if not np.all(keep):
-        q_arr = q_arr[keep]
-        sx, sy, sz = sx[keep], sy[keep], sz[keep]
-        tx, ty, tz = tx[keep], ty[keep], tz[keep]
-        usx, usy, usz = usx[keep], usy[keep], usz[keep]
-        cx, cy, cz, c2 = cx[keep], cy[keep], cz[keep], c2[keep]
-    if q_arr.size == 0:
-        return
-    cn = np.sqrt(c2)
-    vx, vy, vz = cx / cn, cy / cn, cz / cn
-    wx = sy * vz - sz * vy
-    wy = sz * vx - sx * vz
-    wz = sx * vy - sy * vx
-    alpha = vx * tx + vy * ty + vz * tz
-    phi = sx * usx + sy * usy + sz * usz
-    theta = np.arctan2(wx * tx + wy * ty + wz * tz, sx * tx + sy * ty + sz * tz)
-    ba = np.clip(np.floor((alpha + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
-    bp = np.clip(np.floor((phi + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
-    bt = np.clip(np.floor((theta + math.pi) * THETA_SCALE).astype(np.int64), 0, NBINS - 1)
-    np.add.at(counts, (q_arr, ba), 1)
-    np.add.at(counts, (q_arr, NBINS + bp), 1)
-    np.add.at(counts, (q_arr, 2 * NBINS + bt), 1)
-    np.add.at(pair_counts, q_arr, 1)
+def _pair_table(members, member_off, n):
+    """Keys ``j * n + i`` (i < j), ascending, of every pair of points that
+    share a neighbourhood: the nonzeros below the diagonal of A^T A, where A
+    is the query-by-point membership matrix."""
+    nq = member_off.shape[0] - 1
+    a = sparse.csr_matrix((np.ones(members.size, dtype=np.int32), members,
+                           member_off), shape=(nq, n))
+    co = (a.T @ a).tocsr()
+    co.sort_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(co.indptr))
+    below = co.indices < rows
+    return rows[below], co.indices[below].astype(np.int64)
+
+
+def _bin_codes(i_arr, j_arr, xyz, normals):
+    """Histogram columns (alpha, 11 + phi, 22 + theta) of each pair (i, j),
+    or ``_SKIP`` in all three for coincident points and for a source normal
+    parallel to the join line.  The arithmetic is the loop kernel's."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = xyz[j_arr, 0] - xyz[i_arr, 0]
+        dy = xyz[j_arr, 1] - xyz[i_arr, 1]
+        dz = xyz[j_arr, 2] - xyz[i_arr, 2]
+        d2 = dx * dx + dy * dy + dz * dz
+        d = np.sqrt(d2)
+        ux, uy, uz = dx / d, dy / d, dz / d
+        nix, niy, niz = normals[i_arr, 0], normals[i_arr, 1], normals[i_arr, 2]
+        njx, njy, njz = normals[j_arr, 0], normals[j_arr, 1], normals[j_arr, 2]
+        dot_i = nix * ux + niy * uy + niz * uz
+        dot_j = njx * ux + njy * uy + njz * uz
+        swap = np.abs(dot_i) < np.abs(dot_j)
+        sx = np.where(swap, njx, nix)
+        sy = np.where(swap, njy, niy)
+        sz = np.where(swap, njz, niz)
+        tx = np.where(swap, nix, njx)
+        ty = np.where(swap, niy, njy)
+        tz = np.where(swap, niz, njz)
+        sign = np.where(swap, -1.0, 1.0)
+        usx, usy, usz = sign * ux, sign * uy, sign * uz
+        cx = sy * usz - sz * usy
+        cy = sz * usx - sx * usz
+        cz = sx * usy - sy * usx
+        c2 = cx * cx + cy * cy + cz * cz
+        cn = np.sqrt(c2)
+        vx, vy, vz = cx / cn, cy / cn, cz / cn
+        wx = sy * vz - sz * vy
+        wy = sz * vx - sx * vz
+        wz = sx * vy - sy * vx
+        alpha = vx * tx + vy * ty + vz * tz
+        phi = sx * usx + sy * usy + sz * usz
+        theta = np.arctan2(wx * tx + wy * ty + wz * tz, sx * tx + sy * ty + sz * tz)
+        ba = np.clip(np.floor((alpha + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
+        bp = np.clip(np.floor((phi + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
+        bt = np.clip(np.floor((theta + math.pi) * THETA_SCALE).astype(np.int64), 0, NBINS - 1)
+    skip = ~((d2 > 0.0) & (c2 >= DEGENERATE_CROSS_SQ))
+    codes = (ba, NBINS + bp, 2 * NBINS + bt)
+    for c in codes:
+        c[skip] = _SKIP
+    return codes
 
 
 def _pfh_histograms_numpy(xyz, normals, valid, nbr_idx, nbr_off, queries,
                           counts, pair_counts):
-    pend_i, pend_j, pend_q = [], [], []
+    # Each unique pair is binned once into a table; every query then counts
+    # the table codes of its pair instances, found by key, with bincount.
+    n = xyz.shape[0]
+    nq = queries.shape[0]
+    # valid members of each valid query's neighbourhood, flattened
+    lens = np.where(valid[queries], nbr_off[queries + 1] - nbr_off[queries], 0)
+    ends = np.cumsum(lens)
+    members = nbr_idx[np.repeat(nbr_off[queries] - ends + lens, lens)
+                      + np.arange(lens.sum())]
+    keep = valid[members]
+    members = members[keep]
+    member_off = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
+    k = np.diff(member_off)
+    npairs = k * (k - 1) // 2
+    if not npairs.any():
+        return counts, pair_counts
+
+    pair_j, pair_i = _pair_table(members, member_off, n)
+    table_keys = np.append(pair_j * n + pair_i, n * n)  # sentinel: no key is n*n
+    batches = [_bin_codes(pair_i[s:s + _PAIR_BATCH], pair_j[s:s + _PAIR_BATCH],
+                          xyz, normals)
+               for s in range(0, pair_i.size, _PAIR_BATCH)]
+    codes = [np.concatenate(c) for c in zip(*batches)]
+    del pair_i, pair_j, batches
+    pos_a, pos_b = _pair_positions(int(k.max()))
+    member_keys = members * n
+
+    def count(lo, hi):
+        keys = []
+        for qi in range(lo, hi):
+            p = npairs[qi]
+            if p:
+                s = slice(member_off[qi], member_off[qi + 1])
+                keys.append(member_keys[s][pos_b[:p]] + members[s][pos_a[:p]])
+        key = np.concatenate(keys)
+        pid = np.searchsorted(table_keys, key)
+        if not np.array_equal(np.take(table_keys, pid), key):
+            raise AssertionError("a neighbourhood pair is missing from the pair "
+                                 "table; neighbour lists must hold distinct "
+                                 "indices in ascending order")
+        width = (hi - lo) * _HIST_WIDTH
+        base = np.repeat(np.arange(0, width, _HIST_WIDTH), npairs[lo:hi])
+        hist = np.bincount(np.take(codes[0], pid) + base, minlength=width)
+        for c in codes[1:]:
+            hist += np.bincount(np.take(c, pid) + base, minlength=width)
+        hist = hist.reshape(hi - lo, _HIST_WIDTH)
+        counts[lo:hi] = hist[:, :_SKIP]
+        pair_counts[lo:hi] = hist[:, :NBINS].sum(axis=1)
+
+    lo = 0
     pending = 0
-    for qi in range(queries.shape[0]):
-        q = queries[qi]
-        if not valid[q]:
-            continue
-        members = nbr_idx[nbr_off[q]:nbr_off[q + 1]]
-        members = members[valid[members]]
-        k = members.size
-        if k < 2:
-            continue
-        iu, ju = _triu(k)
-        pend_i.append(members[iu])
-        pend_j.append(members[ju])
-        pend_q.append(np.full(iu.size, qi, dtype=np.int64))
-        pending += iu.size
+    for qi in range(nq):
+        pending += npairs[qi]
         if pending >= _PAIR_BATCH:
-            _bin_pairs_numpy(np.concatenate(pend_i), np.concatenate(pend_j),
-                             np.concatenate(pend_q), xyz, normals, counts,
-                             pair_counts)
-            pend_i, pend_j, pend_q = [], [], []
-            pending = 0
+            count(lo, qi + 1)
+            lo, pending = qi + 1, 0
     if pending:
-        _bin_pairs_numpy(np.concatenate(pend_i), np.concatenate(pend_j),
-                         np.concatenate(pend_q), xyz, normals, counts,
-                         pair_counts)
+        count(lo, nq)
     return counts, pair_counts
 
 
@@ -407,8 +458,9 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries, *,
     """Per-query raw 33-bin pair counts plus pair totals.
 
     ``queries`` selects which points get histograms; neighbour lists are the
-    CSR arrays from the spatial index (self included).  Points flagged
-    invalid contribute to nothing.
+    CSR arrays from the spatial index (self included, distinct indices in
+    ascending order, so each pair is taken from its lower index).  Points
+    flagged invalid contribute to nothing.
     """
     nq = queries.shape[0]
     counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)

@@ -47,6 +47,7 @@ class SpatialIndex:
         if len(self.xyz) == 0:
             raise ValueError("cannot index an empty cloud")
         self._tree = cKDTree(self.xyz)
+        self._csr = {}
 
     def __len__(self):
         return len(self.xyz)
@@ -61,14 +62,23 @@ class SpatialIndex:
         """Neighbour lists of every indexed point against itself, in CSR form.
 
         Returns (indices, offsets): point i's neighbours (self included,
-        ascending) are indices[offsets[i]:offsets[i+1]].
+        ascending) are indices[offsets[i]:offsets[i+1]].  The lists are built
+        once per radius and shared by every caller, so both arrays are
+        read-only.
         """
-        lists = self._tree.query_ball_point(self.xyz, radius, return_sorted=True)
-        offsets = np.zeros(len(self.xyz) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(l) for l in lists])
-        indices = np.fromiter((i for l in lists for i in l), dtype=np.int64,
-                              count=offsets[-1])
-        return indices, offsets
+        radius = float(radius)
+        csr = self._csr.get(radius)
+        if csr is None:
+            lists = self._tree.query_ball_point(self.xyz, radius,
+                                                return_sorted=True)
+            offsets = np.zeros(len(self.xyz) + 1, dtype=np.int64)
+            offsets[1:] = np.cumsum([len(l) for l in lists])
+            indices = np.fromiter((i for l in lists for i in l), dtype=np.int64,
+                                  count=offsets[-1])
+            indices.flags.writeable = False
+            offsets.flags.writeable = False
+            csr = self._csr[radius] = (indices, offsets)
+        return csr
 
     def knn_distances(self, k):
         """Distances to the k nearest other points, shape (N, k)."""

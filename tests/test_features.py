@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from peduncleseg import (DegeneratePairError, NormalParams, PointCloud,
-                         build_index, compute_pfh, darboux_features,
-                         estimate_normals, extract_features, hsv_to_rgb,
-                         rgb_to_hsv, select_features)
+from peduncleseg import (DegeneratePairError, NormalParams, PipelineConfig,
+                         PointCloud, SceneSpec, build_index, compute_pfh,
+                         darboux_features, estimate_normals, extract_features,
+                         generate_scene, hsv_to_rgb, rgb_to_hsv, scene_features,
+                         select_features)
 from peduncleseg.features import FEATURE_DIM, HIST_BINS, bin_darboux
 
 
@@ -314,6 +315,20 @@ class TestExtractFeatures:
         assert not fm.valid[40]              # isolated point
         assert np.all(fm.values[40, 3:] == 0.0)
         assert np.any(fm.values[40, :3] > 0)  # hsv still present
+
+    def test_shared_csr_gives_fresh_index_features(self):
+        # scene_features shares one index, and so one CSR, between normals
+        # and PFH (radius_rn == radius_ri by default)
+        cfg = PipelineConfig()
+        assert cfg.normals.radius_rn == cfg.radius_ri
+        cloud = generate_scene(SceneSpec(points_body=900, points_peduncle=200,
+                                         seed=4))
+        sampled, fm = scene_features(cloud, cfg)
+        normals = estimate_normals(sampled, build_index(sampled), cfg.normals)
+        fresh = extract_features(sampled, normals, build_index(sampled),
+                                 cfg.radius_ri)
+        assert np.array_equal(fm.values, fresh.values)
+        assert np.array_equal(fm.valid, fresh.valid)
 
     def test_select_features_slices(self, rng):
         cloud, index, normals = self.build(rng, n=40)

@@ -50,6 +50,21 @@ class TestSpatialIndex:
             assert np.array_equal(row, index.radius_query(cloud.xyz[i], r))
             assert i in row    # self included
 
+    def test_csr_built_once_per_radius_and_read_only(self, rng):
+        cloud = random_cloud(rng, n=80)
+        index = build_index(cloud)
+        nbr, off = index.radius_neighbors_csr(0.05)
+        again = index.radius_neighbors_csr(0.05)
+        assert again[0] is nbr and again[1] is off
+        for arr in (nbr, off):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        nbr_small, off_small = index.radius_neighbors_csr(0.03)
+        assert nbr_small is not nbr and len(nbr_small) < len(nbr)
+        for i in range(len(cloud)):
+            row = nbr_small[off_small[i]:off_small[i + 1]]
+            assert np.array_equal(row, index.radius_query(cloud.xyz[i], 0.03))
+
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             SpatialIndex(np.empty((0, 3)))
