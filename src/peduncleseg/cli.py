@@ -62,7 +62,10 @@ def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
     model = train_svm(features, config.train)
     save_model(model, model_out)
     elapsed = time.perf_counter() - t0
+    status = "converged" if model.meta["converged"] \
+        else "not converged (stopped at max_passes)"
     print(f"trained on {model.meta['train_rows']} rows in {elapsed:.1f}s; "
+          f"SMO {status} after {model.meta['iterations']} iterations; "
           f"{model.support_count} support vectors -> {model_out}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ travel with the model, so callers always pass raw feature rows.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,12 +20,16 @@ import numpy as np
 from . import _kernels
 from .features import FeatureMatrix
 
+log = logging.getLogger(__name__)
+
 KERNEL_KINDS = ("linear", "rbf")
 FEATURE_SETS = ("full", "hsv", "pfh")
 MODEL_SCHEMA_VERSION = 1
 
 # dual coefficients at most this far from zero are pruned from the model
 SV_EPS = 1e-12
+# rows per block when _gram fills and mirrors the kernel matrix
+_GRAM_BLOCK = 256
 
 
 class TrainingError(RuntimeError):
@@ -99,11 +104,28 @@ class SvmModel:
 
 
 def _gram(x, kernel):
-    if kernel.kind == "linear":
-        return x @ x.T
-    sq = np.einsum("ij,ij->i", x, x)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    return np.exp(-kernel.gamma * d2)
+    """Kernel matrix of the rows of x, one n x n array, exactly symmetric.
+
+    Row block by row block, the upper triangle (diagonal included) is turned
+    into kernel values and mirrored onto the lower triangle, so K[i, j] and
+    K[j, i] are the same number whatever the BLAS returns for x @ x.T.  RBF
+    distances keep the operation order (|x_i|^2 + |x_j|^2) - 2 x_i.x_j.
+    Beyond the matrix, temporaries stay O(_GRAM_BLOCK * n).
+    """
+    k = x @ x.T
+    n = len(k)
+    sq = np.einsum("ij,ij->i", x, x) if kernel.kind == "rbf" else None
+    for a in range(0, n, _GRAM_BLOCK):
+        b = min(a + _GRAM_BLOCK, n)
+        if sq is not None:
+            d2 = np.maximum(sq[a:b, None] + sq[None, a:] - 2.0 * k[a:b, a:],
+                            0.0)
+            k[a:b, a:] = np.exp(-kernel.gamma * d2)
+        diag = k[a:b, a:b]
+        lower = np.tril_indices(b - a, -1)
+        diag[lower] = diag.T[lower]
+        k[b:, a:b] = k[a:b, b:].T
+    return k
 
 
 def _working_pair(yg, up, low):
@@ -121,8 +143,11 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     Solves min 1/2 a'Qa - e'a s.t. 0 <= a <= C, y'a = 0 using
     maximal-violating-pair working sets; stops when the duality-gap proxy
     m(a) - M(a) drops to config.tolerance or after max_passes * n
-    iterations.  The full kernel matrix is held in memory (n^2 floats), so
-    cap the row count upstream for large pools.
+    iterations, logging a warning in the latter case.  Q = diag(y) K diag(y)
+    is held as one n x n float64 matrix, 8 n^2 bytes (128 MB at the default
+    max_train_rows of 4000), so cap the row count upstream for large pools.
+    Q is exactly symmetric, so each iteration reads its rows i and j, not
+    its columns.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -146,23 +171,24 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
     c = float(config.c)
     tol = float(config.tolerance)
-    k = _gram(xs, config.kernel)
-    q = (y[:, None] * k) * y[None, :]
+    q = _gram(xs, config.kernel)
+    q *= y[:, None]             # Q = diag(y) K diag(y) in place, exact for +-1
+    q *= y[None, :]
 
     alpha = np.zeros(n)
     grad = -np.ones(n)          # gradient of the dual objective at alpha
+    neg_y = -y
+    # I_up / I_low of the working-set rule, set here once: an iteration
+    # changes only alpha[i] and alpha[j], so only those entries are refreshed
+    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
     max_iter = config.max_passes * n
     converged = False
     it = 0
     tau = 1e-12
     while it < max_iter:
-        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
-        if not up.any() or not low.any():
-            converged = True
-            break
-        yg = -y * grad
-        i, j, m_up, m_low = _working_pair(yg, up, low)
+        # an empty up (low) set gives m_up = -inf (m_low = inf): converged
+        i, j, m_up, m_low = _working_pair(neg_y * grad, up, low)
         if m_up - m_low <= tol:
             converged = True
             break
@@ -212,8 +238,15 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
                     ai = 0.0
                     aj = total
         alpha[i], alpha[j] = ai, aj
-        grad += q[:, i] * (ai - ai_old) + q[:, j] * (aj - aj_old)
+        for t in (i, j):
+            up[t] = alpha[t] < c if y[t] > 0 else alpha[t] > 0
+            low[t] = alpha[t] > 0 if y[t] > 0 else alpha[t] < c
+        grad += q[i] * (ai - ai_old) + q[j] * (aj - aj_old)
         it += 1
+    if not converged:
+        log.warning("SMO stopped at max_passes=%d after %d iterations on %d "
+                    "rows without reaching tolerance %g",
+                    config.max_passes, it, n, tol)
 
     # bias from the KKT conditions: average y_i - sum_j a_j y_j K_ij over
     # free support vectors, else the midpoint of the feasible interval
@@ -222,9 +255,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     if free.any():
         bias = float(np.mean(y[free] - ky[free]))
     else:
-        yg = -y * grad
-        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+        yg = neg_y * grad
         hi = yg[up].max() if up.any() else yg[low].min()
         lo = yg[low].min() if low.any() else yg[up].max()
         bias = float((hi + lo) / 2.0)

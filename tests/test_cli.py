@@ -155,6 +155,25 @@ class TestTrain:
         assert rc == 4
         assert "single class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train, status", [
+        ("max_passes = 1\ntolerance = 1e-12",
+         "SMO not converged (stopped at max_passes)"),
+        ("max_passes = 1000", "SMO converged"),
+    ])
+    def test_summary_reports_convergence(self, tmp_path, workdir, capsys,
+                                         train, status):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(CONFIG_INI.replace("max_passes = 20", train))
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        rc = cli.main(["--config", str(cfg), "train", workdir["manifest"],
+                       str(model)])
+        assert rc == 0
+        meta = json.loads(model.read_text())["meta"]
+        assert meta["converged"] is ("not" not in status)
+        assert f"{status} after {meta['iterations']} iterations" in \
+            capsys.readouterr().out
+
 
 class TestPredict:
     def test_labels_scores_and_rate(self, workdir, tmp_path, capsys):

@@ -1,4 +1,7 @@
 import json
+import logging
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from peduncleseg import (FeatureMatrix, KernelSpec, ModelFormatError,
                          TrainConfig, TrainingError, decision_scores,
                          load_model, predict_parallel, save_model, train_svm)
+from peduncleseg.learn import SV_EPS, _GRAM_BLOCK, _gram
 
 
 def matrix(values, labels):
@@ -63,10 +67,11 @@ def qp_oracle(k_mat, y, c, iters=30000):
 
 
 def gram(x, kernel):
+    """Kernel matrix in one whole-matrix expression; the reference for _gram."""
     if kernel.kind == "linear":
         return x @ x.T
-    sq = (x ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * x @ x.T, 0.0)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     return np.exp(-kernel.gamma * d2)
 
 
@@ -125,6 +130,201 @@ class TestSmoAgainstQpOracle:
             assert np.all(margins[at_zero] >= 1.0 - tol)
             assert np.all(margins[at_c] <= 1.0 + tol)
             assert np.all(np.abs(margins[free] - 1.0) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# reference trainer: the SMO loop as train_svm ran it before reading Q by
+# rows -- strided column reads, I_up / I_low rebuilt from alpha every
+# iteration, K and Q both held.  train_svm must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_smo(xs, y, kernel, c, tol, max_passes):
+    k = _gram(xs, kernel)
+    q = (y[:, None] * k) * y[None, :]
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    max_iter = max_passes * n
+    converged = False
+    it = 0
+    tau = 1e-12
+    while it < max_iter:
+        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        yg = -y * grad
+        up_vals = np.where(up, yg, -np.inf)
+        low_vals = np.where(low, yg, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        if up_vals[i] - low_vals[j] <= tol:
+            converged = True
+            break
+
+        quad = q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j]
+        if quad <= 0.0:
+            quad = tau
+        ai_old, aj_old = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = ai_old - aj_old
+            ai, aj = ai_old + delta, aj_old + delta
+            if diff > 0:
+                if aj < 0:
+                    aj = 0.0
+                    ai = diff
+            else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = -diff
+            if diff > 0:
+                if ai > c:
+                    ai = c
+                    aj = c - diff
+            else:
+                if aj > c:
+                    aj = c
+                    ai = c + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            total = ai_old + aj_old
+            ai, aj = ai_old - delta, aj_old + delta
+            if total > c:
+                if ai > c:
+                    ai = c
+                    aj = total - c
+            else:
+                if aj < 0:
+                    aj = 0.0
+                    ai = total
+            if total > c:
+                if aj > c:
+                    aj = c
+                    ai = total - c
+            else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = total
+        alpha[i], alpha[j] = ai, aj
+        grad += q[:, i] * (ai - ai_old) + q[:, j] * (aj - aj_old)
+        it += 1
+
+    ky = y * (grad + 1.0)
+    free = (alpha > SV_EPS) & (alpha < c - SV_EPS)
+    if free.any():
+        bias = float(np.mean(y[free] - ky[free]))
+    else:
+        yg = -y * grad
+        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+        hi = yg[up].max() if up.any() else yg[low].min()
+        lo = yg[low].min() if low.any() else yg[up].max()
+        bias = float((hi + lo) / 2.0)
+    objective = float(0.5 * (alpha.sum() - alpha @ grad))
+    return alpha, bias, it, converged, objective
+
+
+class TestSmoAgainstReferenceLoop:
+    # n is never a multiple of the mirror block, and spans several blocks
+    @pytest.mark.parametrize("kernel, n, c, max_passes, converges", [
+        (KernelSpec("linear", None), 2 * _GRAM_BLOCK + 45, 1.0, 50, True),
+        (KernelSpec("rbf", 0.2), _GRAM_BLOCK + 101, 10.0, 50, True),
+        (KernelSpec("rbf", 0.05), 2 * _GRAM_BLOCK + 3, 100.0, 1, False),
+    ])
+    def test_bit_identical(self, rng, kernel, n, c, max_passes, converges):
+        x = rng.normal(size=(n, 5))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int8)
+        config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
+                             max_passes=max_passes)
+        model = train_svm(matrix(x, labels), config)
+
+        xs = model.scaling.apply(x)
+        y = np.where(labels == 1, 1.0, -1.0)
+        alpha, bias, it, converged, objective = reference_smo(
+            xs, y, kernel, c, config.tolerance, max_passes)
+        sv = np.flatnonzero(alpha > SV_EPS)
+        assert converged is converges
+        assert model.meta["converged"] is converged
+        assert model.meta["iterations"] == it
+        assert model.meta["sv_indices"] == sv.tolist()
+        assert np.array_equal(model.support_vectors, xs[sv])
+        assert np.array_equal(model.dual_coefs, alpha[sv] * y[sv])
+        assert model.bias == bias
+        assert model.meta["dual_objective"] == objective
+
+
+class LowerOff(np.ndarray):
+    """Rows whose product x @ x.T is rounded apart below the diagonal, as a
+    general matrix product may return it."""
+
+    def __matmul__(self, other):
+        prod = np.asarray(self) @ np.asarray(other)
+        prod[np.tril_indices(len(prod), -1)] *= 1.0 + 1e-12
+        return prod
+
+
+class TestGram:
+    kernels = [KernelSpec("linear", None), KernelSpec("rbf", 0.3)]
+
+    @pytest.mark.parametrize("kernel", kernels)
+    @pytest.mark.parametrize("n", [1, 7, 2 * _GRAM_BLOCK + 13])
+    def test_exactly_symmetric(self, rng, kernel, n):
+        x = rng.normal(size=(n, 9))
+        k = _gram(x, kernel)
+        assert k.shape == (n, n)
+        assert np.array_equal(k, k.T)
+        # the upper triangle is the whole-matrix expression, value for value
+        iu = np.triu_indices(n)
+        assert np.array_equal(k[iu], gram(x, kernel)[iu])
+
+    @pytest.mark.parametrize("kernel", kernels)
+    def test_symmetric_whatever_the_product(self, rng, kernel):
+        x = rng.normal(size=(2 * _GRAM_BLOCK + 13, 9))
+        k = _gram(x.view(LowerOff), kernel)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, _gram(x, kernel))
+
+    @pytest.mark.parametrize("kernel", kernels)
+    def test_training_holds_one_matrix(self, kernel):
+        rng = np.random.default_rng(7)
+        n = 2001
+        x = rng.normal(size=(n, 8))
+        labels = (x[:, 0] > 0).astype(np.int8)
+        fm = matrix(x, labels)
+        config = TrainConfig(kernel=kernel, c=1.0, max_passes=1)
+        tracemalloc.start()
+        try:
+            train_svm(fm, config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n x n float64 matrix plus O(block * n); K and Q side by side
+        # would already be 2 n^2 * 8 bytes
+        assert peak < 2 * n * n * 8
+
+
+class TestMaxPassesReport:
+    def test_warning_names_iterations(self, rng, caplog):
+        fm, config = random_problem(rng, n=40)
+        with caplog.at_level(logging.WARNING, logger="peduncleseg"):
+            model = train_svm(fm, replace(config, max_passes=1))
+        assert not model.meta["converged"]
+        assert model.meta["iterations"] == 40
+        warnings = [r for r in caplog.records
+                    if r.name.startswith("peduncleseg")
+                    and r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "max_passes=1" in message and "40 iterations" in message
+
+    def test_silent_when_converged(self, rng, caplog):
+        fm, config = random_problem(rng, n=20)
+        with caplog.at_level(logging.WARNING, logger="peduncleseg"):
+            model = train_svm(fm, config)
+        assert model.meta["converged"]
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestClosedFormTwoPoint:
