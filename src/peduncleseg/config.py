@@ -26,7 +26,6 @@ class PipelineConfig:
     max_train_rows: int = 4000
     model_path: str = "model.json"
     report_dir: str = "reports"
-    data_root: str | None = None
 
     def __post_init__(self):
         if self.radius_ri <= 0:
@@ -44,7 +43,7 @@ _SCHEMA = {
     "train": {"kernel": str, "gamma": float, "c": float, "tolerance": float,
               "max_passes": int, "seed": int, "feature_set": str,
               "max_train_rows": int},
-    "paths": {"model": str, "reports": str, "data_root": str},
+    "paths": {"model": str, "reports": str},
 }
 
 
@@ -112,11 +111,7 @@ def _build(values) -> PipelineConfig:
             max_train_rows=get("train", "max_train_rows", 4000),
             model_path=get("paths", "model", "model.json"),
             report_dir=get("paths", "reports", "reports"),
-            data_root=get("paths", "data_root", None),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def default_config() -> PipelineConfig:
-    return PipelineConfig()

@@ -128,26 +128,29 @@ def _gram(x, kernel):
     return k
 
 
-def _working_pair(yg, up, low):
-    """Maximal violating pair; first index wins ties on both sides."""
-    up_vals = np.where(up, yg, -np.inf)
-    low_vals = np.where(low, yg, np.inf)
-    i = int(np.argmax(up_vals))
-    j = int(np.argmin(low_vals))
-    return i, j, up_vals[i], low_vals[j]
+def _physical_memory_bytes():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     """Train a binary SVM with sequential minimal optimisation.
 
-    Solves min 1/2 a'Qa - e'a s.t. 0 <= a <= C, y'a = 0 using
-    maximal-violating-pair working sets; stops when the duality-gap proxy
-    m(a) - M(a) drops to config.tolerance or after max_passes * n
-    iterations, logging a warning in the latter case.  Q = diag(y) K diag(y)
-    is held as one n x n float64 matrix, 8 n^2 bytes (128 MB at the default
-    max_train_rows of 4000), so cap the row count upstream for large pools.
-    Q is exactly symmetric, so each iteration reads its rows i and j, not
-    its columns.
+    Solves min 1/2 a'Qa - e'a s.t. 0 <= a <= C, y'a = 0, Q = diag(y) K
+    diag(y), using maximal-violating-pair working sets; stops when the
+    duality-gap proxy m(a) - M(a) drops to config.tolerance or after
+    max_passes * n iterations, logging a warning in the latter case.
+
+    The trainer holds K, not Q: one exactly symmetric n x n float64 matrix,
+    8 n^2 bytes (128 MB at the default max_train_rows of 4000), read by rows.
+    A row count whose matrix would exceed physical memory is refused with
+    TrainingError, so cap the row count upstream for large pools.  Instead
+    of the gradient g it keeps -y * g in two masked buffers: up_vals holds
+    it on I_up and -inf elsewhere, low_vals on I_low and +inf elsewhere, so
+    the working pair is argmax(up_vals), argmin(low_vals).  Each iteration
+    adds K[i] (-y_i da_i) + K[j] (-y_j da_j) to both buffers in place (the
+    infinities stay) and re-masks only entries i and j.  Multiplying by +-1
+    is exact, so every value equals the one a loop over Q and g computes.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -165,40 +168,50 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     if npos == 0 or npos == n:
         raise TrainingError(
             "training data holds a single class; need both pepper and peduncle rows")
+    matrix_bytes = 8 * n * n
+    memory = _physical_memory_bytes()
+    if matrix_bytes > memory:
+        raise TrainingError(
+            f"SMO on {n} rows needs an n x n float64 kernel matrix of "
+            f"{matrix_bytes} bytes, more than the {memory} bytes of physical "
+            f"memory; lower max_train_rows")
 
     scaling = ScalingStats(x.mean(axis=0), x.std(axis=0))
     xs = scaling.apply(x)
 
     c = float(config.c)
     tol = float(config.tolerance)
-    q = _gram(xs, config.kernel)
-    q *= y[:, None]             # Q = diag(y) K diag(y) in place, exact for +-1
-    q *= y[None, :]
+    k = _gram(xs, config.kernel)
 
     alpha = np.zeros(n)
-    grad = -np.ones(n)          # gradient of the dual objective at alpha
-    neg_y = -y
-    # I_up / I_low of the working-set rule, set here once: an iteration
-    # changes only alpha[i] and alpha[j], so only those entries are refreshed
-    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+    # -y * g at alpha = 0 (g = -1), masked to I_up / I_low; every row is in
+    # at least one of the two sets, so each value lives in some buffer
+    up_vals = np.where(y > 0, y, -np.inf)
+    low_vals = np.where(y < 0, y, np.inf)
+    step = np.empty(n)
+    step_j = np.empty(n)
     max_iter = config.max_passes * n
     converged = False
     it = 0
     tau = 1e-12
     while it < max_iter:
-        # an empty up (low) set gives m_up = -inf (m_low = inf): converged
-        i, j, m_up, m_low = _working_pair(neg_y * grad, up, low)
+        # maximal violating pair, first index winning ties; an empty up (low)
+        # set gives m_up = -inf (m_low = inf): converged
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        m_up, m_low = up_vals[i], low_vals[j]
         if m_up - m_low <= tol:
             converged = True
             break
 
-        quad = q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j]
+        yi, yj = y[i], y[j]
+        gi, gj = -yi * m_up, -yj * m_low
+        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
         if quad <= 0.0:
             quad = tau
         ai_old, aj_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
+        if yi != yj:
+            delta = (-gi - gj) / quad
             diff = ai_old - aj_old
             ai, aj = ai_old + delta, aj_old + delta
             if diff > 0:
@@ -218,7 +231,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
                     aj = c
                     ai = c + diff
         else:
-            delta = (grad[i] - grad[j]) / quad
+            delta = (gi - gj) / quad
             total = ai_old + aj_old
             ai, aj = ai_old - delta, aj_old + delta
             if total > c:
@@ -238,16 +251,26 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
                     ai = 0.0
                     aj = total
         alpha[i], alpha[j] = ai, aj
-        for t in (i, j):
-            up[t] = alpha[t] < c if y[t] > 0 else alpha[t] > 0
-            low[t] = alpha[t] > 0 if y[t] > 0 else alpha[t] < c
-        grad += q[i] * (ai - ai_old) + q[j] * (aj - aj_old)
+        np.multiply(k[i], -yi * (ai - ai_old), out=step)
+        np.multiply(k[j], -yj * (aj - aj_old), out=step_j)
+        step += step_j
+        up_vals += step
+        low_vals += step
+        # i was in I_up and j in I_low, so those buffers hold their values;
+        # each re-enters the sets its new alpha puts it in
+        for t, a, v in ((i, ai, up_vals[i]), (j, aj, low_vals[j])):
+            in_up, in_low = (a < c, a > 0) if y[t] > 0 else (a > 0, a < c)
+            up_vals[t] = v if in_up else -np.inf
+            low_vals[t] = v if in_low else np.inf
         it += 1
     if not converged:
         log.warning("SMO stopped at max_passes=%d after %d iterations on %d "
                     "rows without reaching tolerance %g",
                     config.max_passes, it, n, tol)
 
+    up = up_vals > -np.inf
+    low = low_vals < np.inf
+    grad = -y * np.where(up, up_vals, low_vals)   # gradient of the dual
     # bias from the KKT conditions: average y_i - sum_j a_j y_j K_ij over
     # free support vectors, else the midpoint of the feasible interval
     ky = y * (grad + 1.0)       # sum_j alpha_j y_j K_ij
@@ -255,9 +278,8 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     if free.any():
         bias = float(np.mean(y[free] - ky[free]))
     else:
-        yg = neg_y * grad
-        hi = yg[up].max() if up.any() else yg[low].min()
-        lo = yg[low].min() if low.any() else yg[up].max()
+        hi = up_vals.max() if up.any() else low_vals.min()
+        lo = low_vals.min() if low.any() else up_vals.max()
         bias = float((hi + lo) / 2.0)
 
     objective = float(0.5 * (alpha.sum() - alpha @ grad))

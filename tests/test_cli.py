@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from peduncleseg import cli, read_cloud, read_manifest
+from peduncleseg import (ConfigError, cli, learn, load_pipeline_config,
+                         read_cloud, read_manifest)
 
 CONFIG_INI = """\
 [outlier]
@@ -75,6 +76,15 @@ class TestHelpAndUsage:
         bad = tmp_path / "bad.ini"
         bad.write_text("[train]\nmomentum = 0.9\n")
         rc = cli.main(["--config", str(bad), "synth", workdir["spec"],
+                       str(tmp_path / "out")])
+        assert rc == 2
+
+    def test_removed_data_root_key_exit_2(self, tmp_path, workdir):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[paths]\ndata_root = data\n")
+        with pytest.raises(ConfigError, match="data_root"):
+            load_pipeline_config(cfg)
+        rc = cli.main(["--config", str(cfg), "synth", workdir["spec"],
                        str(tmp_path / "out")])
         assert rc == 2
 
@@ -154,6 +164,16 @@ class TestTrain:
                        str(tmp_path / "model.json")])
         assert rc == 4
         assert "single class" in capsys.readouterr().err
+
+    def test_matrix_beyond_memory_exit_4(self, tmp_path, workdir, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(learn, "_physical_memory_bytes", lambda: 1)
+        model = tmp_path / "model.json"
+        rc = cli.main(["--config", workdir["cfg"], "train",
+                       workdir["manifest"], str(model)])
+        assert rc == 4
+        assert "max_train_rows" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("train, status", [
         ("max_passes = 1\ntolerance = 1e-12",

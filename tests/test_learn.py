@@ -9,6 +9,7 @@ import pytest
 from peduncleseg import (FeatureMatrix, KernelSpec, ModelFormatError,
                          TrainConfig, TrainingError, decision_scores,
                          load_model, predict_parallel, save_model, train_svm)
+from peduncleseg import learn
 from peduncleseg.learn import SV_EPS, _GRAM_BLOCK, _gram
 
 
@@ -135,7 +136,9 @@ class TestSmoAgainstQpOracle:
 # ---------------------------------------------------------------------------
 # reference trainer: the SMO loop as train_svm ran it before reading Q by
 # rows -- strided column reads, I_up / I_low rebuilt from alpha every
-# iteration, K and Q both held.  train_svm must reproduce it bit for bit.
+# iteration, K and Q both held, the gradient itself kept.  train_svm must
+# reproduce it bit for bit.  It also counts swaps: rows that an update moved
+# from one index set to the other, out of the first and into the second.
 # ---------------------------------------------------------------------------
 
 def reference_smo(xs, y, kernel, c, tol, max_passes):
@@ -148,9 +151,14 @@ def reference_smo(xs, y, kernel, c, tol, max_passes):
     converged = False
     it = 0
     tau = 1e-12
+    swaps = 0
+    prev_up = prev_low = None
     while it < max_iter:
         up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+        if prev_up is not None:
+            swaps += int(np.count_nonzero((up != prev_up) & (low != prev_low)))
+        prev_up, prev_low = up, low
         if not up.any() or not low.any():
             converged = True
             break
@@ -223,7 +231,27 @@ def reference_smo(xs, y, kernel, c, tol, max_passes):
         lo = yg[low].min() if low.any() else yg[up].max()
         bias = float((hi + lo) / 2.0)
     objective = float(0.5 * (alpha.sum() - alpha @ grad))
-    return alpha, bias, it, converged, objective
+    return alpha, bias, it, converged, objective, swaps
+
+
+def assert_matches_reference(x, labels, config):
+    """Train x with train_svm and with reference_smo; the reference's
+    alpha, convergence flag and swap count once every output is equal."""
+    model = train_svm(matrix(x, labels), config)
+
+    xs = model.scaling.apply(x)
+    y = np.where(labels == 1, 1.0, -1.0)
+    alpha, bias, it, converged, objective, swaps = reference_smo(
+        xs, y, config.kernel, config.c, config.tolerance, config.max_passes)
+    sv = np.flatnonzero(alpha > SV_EPS)
+    assert model.meta["converged"] is converged
+    assert model.meta["iterations"] == it
+    assert model.meta["sv_indices"] == sv.tolist()
+    assert np.array_equal(model.support_vectors, xs[sv])
+    assert np.array_equal(model.dual_coefs, alpha[sv] * y[sv])
+    assert model.bias == bias
+    assert model.meta["dual_objective"] == objective
+    return alpha, converged, swaps
 
 
 class TestSmoAgainstReferenceLoop:
@@ -238,21 +266,29 @@ class TestSmoAgainstReferenceLoop:
         labels = (x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int8)
         config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
                              max_passes=max_passes)
-        model = train_svm(matrix(x, labels), config)
-
-        xs = model.scaling.apply(x)
-        y = np.where(labels == 1, 1.0, -1.0)
-        alpha, bias, it, converged, objective = reference_smo(
-            xs, y, kernel, c, config.tolerance, max_passes)
-        sv = np.flatnonzero(alpha > SV_EPS)
+        _alpha, converged, _swaps = assert_matches_reference(x, labels,
+                                                             config)
         assert converged is converges
-        assert model.meta["converged"] is converged
-        assert model.meta["iterations"] == it
-        assert model.meta["sv_indices"] == sv.tolist()
-        assert np.array_equal(model.support_vectors, xs[sv])
-        assert np.array_equal(model.dual_coefs, alpha[sv] * y[sv])
-        assert model.bias == bias
-        assert model.meta["dual_objective"] == objective
+
+    # small C: duals jump from 0 straight to C, so rows swap index sets.
+    # With the linear problem every reference dual ends at 0 or C, so the
+    # bias comes from the up / low fallback, not from free support vectors
+    @pytest.mark.parametrize("kernel, seed, n, c, fallback", [
+        (KernelSpec("linear", None), 1, 20, 0.01, True),
+        (KernelSpec("rbf", 0.5), 0, 150, 1.0, False),
+    ])
+    def test_bit_identical_at_the_box(self, kernel, seed, n, c, fallback):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 5))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int8)
+        config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
+                             max_passes=50)
+        alpha, converged, swaps = assert_matches_reference(x, labels, config)
+        assert converged
+        assert swaps > 0
+        assert np.any(alpha == c)
+        free = (alpha > SV_EPS) & (alpha < c - SV_EPS)
+        assert bool(free.any()) is not fallback
 
 
 class LowerOff(np.ndarray):
@@ -401,6 +437,20 @@ class TestTrainingValidation:
         fm = matrix(values, [0, 1] * 4)
         with pytest.raises(TrainingError):
             train_svm(fm, TrainConfig())
+
+    def test_matrix_beyond_physical_memory_rejected(self, rng, monkeypatch):
+        n = 12
+        fm = matrix(rng.normal(size=(n, 3)), [0, 1] * 6)
+        monkeypatch.setattr(learn, "_physical_memory_bytes",
+                            lambda: 8 * n * n - 1)
+        with pytest.raises(TrainingError) as exc:
+            train_svm(fm, TrainConfig())
+        message = str(exc.value)
+        assert f"{n} rows" in message and f"{8 * n * n} bytes" in message
+        assert "max_train_rows" in message
+        # a matrix that exactly fits trains
+        monkeypatch.setattr(learn, "_physical_memory_bytes", lambda: 8 * n * n)
+        assert train_svm(fm, TrainConfig()).meta["train_rows"] == n
 
     def test_constant_columns_handled(self, rng):
         values = rng.normal(size=(12, 3))
