@@ -9,10 +9,20 @@ The loop PFH kernel bins the Darboux triple of a pair once for every
 neighbourhood that holds it; a default scene has about 28 such instances per
 unique pair.  The numpy PFH kernel works over a table of unique pairs
 instead: it lists the pairs (i < j) that the queried neighbourhoods contain,
-as the off-diagonal nonzeros of A^T A with A the query-by-member matrix,
-bins each pair once with the loop kernel's arithmetic, then looks up every
-instance's pair by key and counts the bin codes per query with
-``np.bincount``.  Its counts are the loop kernel's, integer for integer.
+as the off-diagonal nonzeros of A^T A with A the query-by-member matrix, and
+bins each pair once, with the loop kernel's arithmetic, into one packed code
+``ba * 121 + bp * 11 + bt`` (``1331`` for a pair the histograms skip).  It
+then takes the queries in batches.  A batch renumbers the union U of its
+members to 0..|U|-1 and scatters the codes of the pairs with both ends in U
+into a dense |U| x |U| table that starts filled with a "missing" sentinel,
+so each pair instance costs one lookup; a sentinel found there means a
+neighbour list was not distinct and ascending, and raises.  One
+``np.bincount`` over ``query * 1332 + code`` gives each query's
+(11, 11, 11) cube of bin triples, whose three 11-bin marginals are its
+alpha, phi and theta blocks.  A batch is cut before its pair instances,
+its table bytes or its histogram bins would pass their limits, so memory
+stays bounded on dense and on large sparse scenes alike.  Its counts are
+the loop kernel's, integer for integer.
 
 All kernels accumulate integer histogram counts / fixed-order float sums so
 results do not depend on thread count or batch size.
@@ -234,9 +244,12 @@ def _decision_values_loops(x, sv, coef, bias, kind, gamma, out):
 # numpy backend
 # ---------------------------------------------------------------------------
 
-_PAIR_BATCH = 2_000_000
-_SKIP = 3 * NBINS          # histogram column that collects degenerate pairs
-_HIST_WIDTH = 3 * NBINS + 1
+_PAIR_BATCH = 2_000_000    # a batch's pair instances; also pairs binned at once
+_TABLE_BYTES = 32 << 20    # a batch's dense code table: |U|^2 entries
+_CUBE_BINS = 2_000_000     # a batch's histogram bins: queries * _CODES
+_SKIP = NBINS ** 3         # code of a pair the histograms leave out
+_CODES = _SKIP + 1         # codes per query in the batch histogram
+_MISSING = np.int32(np.iinfo(np.int32).min)  # dense-table entry of no pair
 
 
 def _pair_positions(k):
@@ -250,9 +263,15 @@ def _pair_positions(k):
     return a, b
 
 
+def _concat_ranges(starts, lens):
+    """Indices ``starts[t] .. starts[t] + lens[t] - 1`` for every t, in order."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+
+
 def _pair_table(members, member_off, n):
-    """Keys ``j * n + i`` (i < j), ascending, of every pair of points that
-    share a neighbourhood: the nonzeros below the diagonal of A^T A, where A
+    """Every pair (j, i), i < j, of points that share a neighbourhood,
+    ordered by j then i: the nonzeros below the diagonal of A^T A, where A
     is the query-by-point membership matrix."""
     nq = member_off.shape[0] - 1
     a = sparse.csr_matrix((np.ones(members.size, dtype=np.int32), members,
@@ -265,9 +284,10 @@ def _pair_table(members, member_off, n):
 
 
 def _bin_codes(i_arr, j_arr, xyz, normals):
-    """Histogram columns (alpha, 11 + phi, 22 + theta) of each pair (i, j),
-    or ``_SKIP`` in all three for coincident points and for a source normal
-    parallel to the join line.  The arithmetic is the loop kernel's."""
+    """Packed code ``ba * 121 + bp * 11 + bt`` of each pair (i, j), from its
+    alpha, phi and theta bins, or ``_SKIP`` for coincident points and for a
+    source normal parallel to the join line.  The arithmetic is the loop
+    kernel's."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dx = xyz[j_arr, 0] - xyz[i_arr, 0]
         dy = xyz[j_arr, 1] - xyz[i_arr, 1]
@@ -300,76 +320,110 @@ def _bin_codes(i_arr, j_arr, xyz, normals):
         alpha = vx * tx + vy * ty + vz * tz
         phi = sx * usx + sy * usy + sz * usz
         theta = np.arctan2(wx * tx + wy * ty + wz * tz, sx * tx + sy * ty + sz * tz)
-        ba = np.clip(np.floor((alpha + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
-        bp = np.clip(np.floor((phi + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
-        bt = np.clip(np.floor((theta + math.pi) * THETA_SCALE).astype(np.int64), 0, NBINS - 1)
-    skip = ~((d2 > 0.0) & (c2 >= DEGENERATE_CROSS_SQ))
-    codes = (ba, NBINS + bp, 2 * NBINS + bt)
-    for c in codes:
-        c[skip] = _SKIP
+        codes = _pack_bins(alpha, phi, theta).astype(np.uint16)
+    codes[~((d2 > 0.0) & (c2 >= DEGENERATE_CROSS_SQ))] = _SKIP
     return codes
+
+
+def _pack_bins(alpha, phi, theta):
+    """Packed code ``ba * 121 + bp * 11 + bt`` of angle triples.
+
+    Each angle gets NBINS equal-width bins over its full range (alpha and
+    phi over [-1, 1], theta over [-pi, pi]), taken with ``floor`` and
+    clamped, so a value at an angle's maximum falls in the last bin.
+    """
+    ba = np.clip(np.floor((alpha + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
+    bp = np.clip(np.floor((phi + 1.0) * ALPHA_SCALE).astype(np.int64), 0, NBINS - 1)
+    bt = np.clip(np.floor((theta + math.pi) * THETA_SCALE).astype(np.int64), 0, NBINS - 1)
+    return (ba * NBINS + bp) * NBINS + bt
+
+
+def _query_batches(active, npairs, members, member_off, n):
+    """Cut the queries ``active`` into consecutive batches and yield each
+    with the ascending union U of its members.
+
+    A batch takes queries while its pair instances stay within
+    ``_PAIR_BATCH``, its |U| x |U| code table within ``_TABLE_BYTES`` and
+    its histogram within ``_CUBE_BINS``; a query that alone passes a limit
+    forms a batch of its own.  At these limits a neighbourhood too large
+    for the table alone has more pairs than ``_PAIR_BATCH``, and its table
+    is about twice the bytes of its own lookup keys.
+    """
+    max_union = math.isqrt(_TABLE_BYTES // _MISSING.itemsize)
+    max_queries = _CUBE_BINS // _CODES
+    batch_of = np.full(n, -1, dtype=np.int64)  # last batch that held each point
+    b = lo = instances = union = 0
+    for pos, qi in enumerate(active):
+        m = members[member_off[qi]:member_off[qi + 1]]
+        fresh = int(np.count_nonzero(batch_of[m] != b))
+        if pos > lo and (instances + npairs[qi] > _PAIR_BATCH
+                         or union + fresh > max_union
+                         or pos - lo == max_queries):
+            yield active[lo:pos], np.flatnonzero(batch_of == b)
+            b += 1
+            lo, instances, union, fresh = pos, 0, 0, m.size
+        batch_of[m] = b
+        instances += npairs[qi]
+        union += fresh
+    yield active[lo:], np.flatnonzero(batch_of == b)
 
 
 def _pfh_histograms_numpy(xyz, normals, valid, nbr_idx, nbr_off, queries,
                           counts, pair_counts):
-    # Each unique pair is binned once into a table; every query then counts
-    # the table codes of its pair instances, found by key, with bincount.
+    # Each unique pair is binned once into a packed code.  Per batch of
+    # queries, the codes of the pairs among the batch's members go into a
+    # dense table, each pair instance is one lookup, and one bincount over
+    # query * _CODES + code gives every query's (11, 11, 11) cube.
     n = xyz.shape[0]
-    nq = queries.shape[0]
     # valid members of each valid query's neighbourhood, flattened
     lens = np.where(valid[queries], nbr_off[queries + 1] - nbr_off[queries], 0)
-    ends = np.cumsum(lens)
-    members = nbr_idx[np.repeat(nbr_off[queries] - ends + lens, lens)
-                      + np.arange(lens.sum())]
+    members = nbr_idx[_concat_ranges(nbr_off[queries], lens)]
     keep = valid[members]
     members = members[keep]
-    member_off = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
+    member_off = np.concatenate(([0], np.cumsum(keep)))[
+        np.concatenate(([0], np.cumsum(lens)))]
     k = np.diff(member_off)
     npairs = k * (k - 1) // 2
-    if not npairs.any():
+    active = np.flatnonzero(npairs)
+    if not active.size:
         return counts, pair_counts
 
     pair_j, pair_i = _pair_table(members, member_off, n)
-    table_keys = np.append(pair_j * n + pair_i, n * n)  # sentinel: no key is n*n
-    batches = [_bin_codes(pair_i[s:s + _PAIR_BATCH], pair_j[s:s + _PAIR_BATCH],
-                          xyz, normals)
-               for s in range(0, pair_i.size, _PAIR_BATCH)]
-    codes = [np.concatenate(c) for c in zip(*batches)]
-    del pair_i, pair_j, batches
+    codes = np.concatenate([_bin_codes(pair_i[s:s + _PAIR_BATCH],
+                                       pair_j[s:s + _PAIR_BATCH], xyz, normals)
+                            for s in range(0, pair_i.size, _PAIR_BATCH)])
+    # table pairs by larger end: those of point j are row_off[j]:row_off[j + 1]
+    row_off = np.concatenate(([0], np.cumsum(np.bincount(pair_j, minlength=n))))
     pos_a, pos_b = _pair_positions(int(k.max()))
-    member_keys = members * n
+    local = np.full(n, -1, dtype=np.int64)
 
-    def count(lo, hi):
+    for sel, u in _query_batches(active, npairs, members, member_off, n):
+        size = u.size
+        local[u] = np.arange(size)
+        rows = _concat_ranges(row_off[u], row_off[u + 1] - row_off[u])
+        inside = rows[local[pair_i[rows]] >= 0]
+        table = np.full(size * size, _MISSING)
+        table[local[pair_j[inside]] * size + local[pair_i[inside]]] = codes[inside]
         keys = []
-        for qi in range(lo, hi):
+        for base, qi in zip(range(0, sel.size * _CODES, _CODES), sel):
+            loc = local[members[member_off[qi]:member_off[qi + 1]]]
             p = npairs[qi]
-            if p:
-                s = slice(member_off[qi], member_off[qi + 1])
-                keys.append(member_keys[s][pos_b[:p]] + members[s][pos_a[:p]])
-        key = np.concatenate(keys)
-        pid = np.searchsorted(table_keys, key)
-        if not np.array_equal(np.take(table_keys, pid), key):
+            keys.append(table[(loc * size)[pos_b[:p]] + loc[pos_a[:p]]] + base)
+        local[u] = -1
+        keys = np.concatenate(keys)
+        # a missing pair reads _MISSING, and _MISSING + base < 0
+        if keys.min() < 0:
             raise AssertionError("a neighbourhood pair is missing from the pair "
                                  "table; neighbour lists must hold distinct "
                                  "indices in ascending order")
-        width = (hi - lo) * _HIST_WIDTH
-        base = np.repeat(np.arange(0, width, _HIST_WIDTH), npairs[lo:hi])
-        hist = np.bincount(np.take(codes[0], pid) + base, minlength=width)
-        for c in codes[1:]:
-            hist += np.bincount(np.take(c, pid) + base, minlength=width)
-        hist = hist.reshape(hi - lo, _HIST_WIDTH)
-        counts[lo:hi] = hist[:, :_SKIP]
-        pair_counts[lo:hi] = hist[:, :NBINS].sum(axis=1)
-
-    lo = 0
-    pending = 0
-    for qi in range(nq):
-        pending += npairs[qi]
-        if pending >= _PAIR_BATCH:
-            count(lo, qi + 1)
-            lo, pending = qi + 1, 0
-    if pending:
-        count(lo, nq)
+        hist = np.bincount(keys, minlength=sel.size * _CODES)
+        cube = hist.reshape(sel.size, _CODES)[:, :_SKIP].reshape(
+            sel.size, NBINS, NBINS, NBINS)
+        alpha = cube.sum(axis=(2, 3))
+        counts[sel, :NBINS] = alpha
+        counts[sel, NBINS:2 * NBINS] = cube.sum(axis=(1, 3))
+        counts[sel, 2 * NBINS:] = cube.sum(axis=(1, 2))
+        pair_counts[sel] = alpha.sum(axis=1)
     return counts, pair_counts
 
 

@@ -150,20 +150,6 @@ class FeatureMatrix:
         return len(self.values)
 
 
-def bin_darboux(alpha, phi, theta):
-    """Bin indices of one angle triple: (alpha bin, phi bin, theta bin).
-
-    Each feature gets 11 equal-width bins over its full range (alpha and phi
-    over [-1, 1], theta over [-pi, pi]); a value at a feature's maximum falls
-    in the last bin.
-    """
-    n = _kernels.NBINS
-    ba = min(int((alpha + 1.0) * _kernels.ALPHA_SCALE), n - 1)
-    bp = min(int((phi + 1.0) * _kernels.ALPHA_SCALE), n - 1)
-    bt = min(int((theta + math.pi) * _kernels.THETA_SCALE), n - 1)
-    return ba, bp, bt
-
-
 def compute_pfh(query_index: int, cloud: PointCloud, normals: NormalSet,
                 index: SpatialIndex, radius_ri: float) -> PfhHistogram:
     """PFH of one point over its radius_ri neighbourhood.
@@ -214,20 +200,6 @@ def extract_features(cloud: PointCloud, normals: NormalSet,
     values[:, 3:] = hist
     valid = normals.valid & scorable
     return FeatureMatrix(values, cloud.labels.copy(), valid)
-
-
-_CSV_HEADER = ("h,s,v,"
-               + ",".join(f"pfh{i:02d}" for i in range(HIST_BINS))
-               + ",label")
-
-
-def write_features_csv(features: FeatureMatrix, path):
-    """Write one row per point: h,s,v,pfh00..pfh32,label (-1 = unlabelled)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for row, label in zip(features.values, features.labels):
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write(f",{int(label)}\n")
 
 
 def select_features(features: FeatureMatrix, subset: str) -> FeatureMatrix:

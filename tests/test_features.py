@@ -9,7 +9,7 @@ from peduncleseg import (DegeneratePairError, NormalParams, PipelineConfig,
                          darboux_features, estimate_normals, extract_features,
                          generate_scene, hsv_to_rgb, rgb_to_hsv, scene_features,
                          select_features)
-from peduncleseg.features import FEATURE_DIM, HIST_BINS, bin_darboux
+from peduncleseg.features import FEATURE_DIM, HIST_BINS
 
 
 def cloud_from(xyz, rgb=None, labels=None):
@@ -135,21 +135,6 @@ class TestDarboux:
         assert q.alpha == pytest.approx(0.0, abs=1e-15)
         assert q.phi == pytest.approx(0.0, abs=1e-15)
         assert q.theta == pytest.approx(0.0, abs=1e-15)
-
-
-class TestBinning:
-    def test_zero_angles_hit_centre_bins(self):
-        assert bin_darboux(0.0, 0.0, 0.0) == (5, 5, 5)
-
-    def test_extremes_clamp_to_last_bin(self):
-        assert bin_darboux(1.0, 1.0, math.pi) == (10, 10, 10)
-        assert bin_darboux(-1.0, -1.0, -math.pi) == (0, 0, 0)
-
-    def test_bin_edges(self):
-        width = 2.0 / 11.0
-        for b in range(11):
-            inside = -1.0 + (b + 0.5) * width
-            assert bin_darboux(inside, 0, 0)[0] == b
 
 
 class TestPfh:

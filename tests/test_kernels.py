@@ -1,6 +1,8 @@
 """The hot kernels: the numpy path against the plain-Python loop source, and
 against the numba path where numba is installed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,61 @@ def edge_case_scene(rng, n=60, radius=0.012):
     normals[0] = (xyz[1] - xyz[0]) / np.linalg.norm(xyz[1] - xyz[0])
     nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(radius)
     return xyz, normals, valid, nbr_idx, nbr_off
+
+
+def clustered_scene(rng, clusters=5, size=8):
+    """Tight, far-apart clusters: within a cluster every point is inside
+    every neighbourhood, and no neighbourhood reaches another cluster."""
+    centres = np.arange(clusters)[:, None] * [1.0, 0.0, 0.0]
+    xyz = np.repeat(centres, size, axis=0) + rng.normal(size=(clusters * size, 3)) * 1e-3
+    normals = rng.normal(size=xyz.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    valid = np.ones(len(xyz), dtype=bool)
+    nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(0.1)
+    assert np.all(np.diff(nbr_off) == size)
+    return xyz, normals, valid, nbr_idx, nbr_off
+
+
+def record_batches(monkeypatch):
+    """List that collects every (query positions, member union) batch the
+    numpy PFH kernel cuts while ``monkeypatch`` is active."""
+    batches = []
+    cut = _kernels._query_batches
+
+    def spy(*args):
+        for sel, union in cut(*args):
+            batches.append((sel.copy(), union.copy()))
+            yield sel, union
+
+    monkeypatch.setattr(_kernels, "_query_batches", spy)
+    return batches
+
+
+def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
+    """Batches cover the queries with pairs once, in order; each one's union
+    is its members'; each keeps within the three limits unless it holds a
+    single query; and none could also have held the next batch's first
+    query."""
+    members = [nbr_idx[nbr_off[q]:nbr_off[q + 1]] if valid[q]
+               else np.empty(0, dtype=np.int64) for q in queries]
+    members = [m[valid[m]] for m in members]
+    npairs = [m.size * (m.size - 1) // 2 for m in members]
+    item = _kernels._MISSING.itemsize
+
+    def within(sel):
+        union = np.unique(np.concatenate([members[q] for q in sel]))
+        return (sum(npairs[q] for q in sel) <= _kernels._PAIR_BATCH
+                and union.size ** 2 * item <= _kernels._TABLE_BYTES
+                and len(sel) * _kernels._CODES <= _kernels._CUBE_BINS)
+
+    order = np.concatenate([sel for sel, _u in batches])
+    assert np.array_equal(order, np.flatnonzero(npairs))
+    for b, (sel, union) in enumerate(batches):
+        assert np.array_equal(union,
+                              np.unique(np.concatenate([members[q] for q in sel])))
+        assert len(sel) == 1 or within(sel)
+        if b + 1 < len(batches):
+            assert not within(np.append(sel, batches[b + 1][0][0]))
 
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
@@ -161,6 +218,71 @@ class TestPfhNumpy:
             with pytest.raises(DegeneratePairError):
                 darboux_features(xyz[i], normals[i], xyz[j], normals[j])
 
+    @pytest.mark.parametrize("limit, value", [
+        ("_PAIR_BATCH", 37),
+        ("_TABLE_BYTES", _kernels._MISSING.itemsize * 12 ** 2),
+        ("_CUBE_BINS", 3 * _kernels._CODES),
+    ])
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("build", [scene, edge_case_scene])
+    def test_small_batches_equal_python_loops(self, rng, monkeypatch, build,
+                                              subset, limit, value):
+        xyz, normals, valid, nbr_idx, nbr_off = build(rng)
+        queries = np.arange(len(xyz), dtype=np.int64)
+        if subset:
+            queries = np.array([9, 3, 0, 4, 3, len(xyz) - 1, 1, 7, 20],
+                               dtype=np.int64)
+        want = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_loops)
+        monkeypatch.setattr(_kernels, limit, value)
+        batches = record_batches(monkeypatch)
+        got = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_numpy)
+        assert len(batches) >= 3
+        assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_table_within_limit_when_every_point_is_in_every_neighbourhood(
+            self, rng, monkeypatch):
+        xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng, clusters=1,
+                                                                size=40)
+        queries = np.arange(len(xyz), dtype=np.int64)
+        want = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_loops)
+        # a table of exactly the 40 points: the union never grows past them,
+        # so one table serves every query
+        monkeypatch.setattr(_kernels, "_TABLE_BYTES",
+                            40 ** 2 * _kernels._MISSING.itemsize)
+        batches = record_batches(monkeypatch)
+        got = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_numpy)
+        assert [(len(sel), union.size) for sel, union in batches] == [(40, 40)]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_table_limit_cuts_interleaved_clusters(self, rng, monkeypatch):
+        xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng)
+        # one query from each cluster in turn, so every query widens the union
+        queries = np.arange(len(xyz), dtype=np.int64).reshape(5, 8).T.ravel()
+        want = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_loops)
+        monkeypatch.setattr(_kernels, "_TABLE_BYTES",
+                            16 ** 2 * _kernels._MISSING.itemsize)
+        batches = record_batches(monkeypatch)
+        got = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, queries,
+            impl=_kernels._pfh_histograms_numpy)
+        assert max(union.size for _sel, union in batches) == 16
+        assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     def test_missing_pair_raises(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off = scene(rng, n=60)
         # descending rows name every pair with its larger member first
@@ -170,6 +292,32 @@ class TestPfhNumpy:
                 xyz, normals, valid, np.concatenate(rows), nbr_off,
                 np.arange(60, dtype=np.int64),
                 impl=_kernels._pfh_histograms_numpy)
+
+
+class TestBinning:
+    """The numpy PFH kernel's binning of one angle triple."""
+
+    @staticmethod
+    def bins(alpha, phi, theta):
+        code = int(_kernels._pack_bins(np.array([alpha]), np.array([phi]),
+                                       np.array([theta]))[0])
+        return code // 121, code // 11 % 11, code % 11
+
+    def test_zero_angles_hit_centre_bins(self):
+        assert self.bins(0.0, 0.0, 0.0) == (5, 5, 5)
+
+    def test_extremes_clamp_to_last_bin(self):
+        assert self.bins(1.0, 1.0, math.pi) == (10, 10, 10)
+        assert self.bins(-1.0, -1.0, -math.pi) == (0, 0, 0)
+
+    def test_bin_edges(self):
+        width = 2.0 / 11.0
+        theta_width = 2.0 * math.pi / 11.0
+        for b in range(11):
+            inside = -1.0 + (b + 0.5) * width
+            assert self.bins(inside, 0.0, 0.0) == (b, 5, 5)
+            assert self.bins(0.0, inside, 0.0) == (5, b, 5)
+            assert self.bins(0.0, 0.0, -math.pi + (b + 0.5) * theta_width) == (5, 5, b)
 
 
 class TestMomentCorrectness:
