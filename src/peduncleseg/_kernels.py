@@ -1,250 +1,45 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""The hot numeric kernels, in numpy: PFH pair histograms and neighbourhood
+moments.
 
-The numba backend JIT-compiles the loop implementations below; the numpy
-backend computes the same results vectorised.  Selection: numba is used when
-importable unless ``PEDUNCLESEG_DISABLE_NUMBA=1`` is set, in which case the
-numpy path runs.
+The PFH kernel works over a table of unique pairs.  It lists the pairs
+(i < j) that the queried neighbourhoods contain, as the off-diagonal
+nonzeros of A^T A with A the query-by-member matrix, and bins each pair
+once into one packed code ``ba * 121 + bp * 11 + bt`` (``1331`` for a pair
+the histograms skip); a default scene holds about 28 pair instances per
+unique pair.  It bins the pairs ``_BIN_BATCH`` at a time, so the float
+temporaries of binning stay bounded.  It then takes the queries in
+batches.  A batch renumbers the union U of its members to 0..|U|-1 and
+scatters the codes of the pairs with both ends in U into a dense |U| x |U|
+table that starts filled with a "missing" sentinel, so each pair instance
+costs one lookup; a sentinel found there means a neighbour list was not
+distinct and ascending, and raises.  One ``np.bincount`` over
+``query * 1332 + code`` gives each query's (11, 11, 11) cube of bin
+triples, whose three 11-bin marginals are its alpha, phi and theta blocks.
+A batch is cut before its pair instances, its table bytes or its histogram
+bins would pass their limits, so memory stays bounded on dense and on
+large sparse scenes alike.  Its counts are those of a scalar loop over
+every pair of every neighbourhood, integer for integer.
 
-The loop PFH kernel bins the Darboux triple of a pair once for every
-neighbourhood that holds it; a default scene has about 28 such instances per
-unique pair.  The numpy PFH kernel works over a table of unique pairs
-instead: it lists the pairs (i < j) that the queried neighbourhoods contain,
-as the off-diagonal nonzeros of A^T A with A the query-by-member matrix, and
-bins each pair once, with the loop kernel's arithmetic, into one packed code
-``ba * 121 + bp * 11 + bt`` (``1331`` for a pair the histograms skip).  It
-then takes the queries in batches.  A batch renumbers the union U of its
-members to 0..|U|-1 and scatters the codes of the pairs with both ends in U
-into a dense |U| x |U| table that starts filled with a "missing" sentinel,
-so each pair instance costs one lookup; a sentinel found there means a
-neighbour list was not distinct and ascending, and raises.  One
-``np.bincount`` over ``query * 1332 + code`` gives each query's
-(11, 11, 11) cube of bin triples, whose three 11-bin marginals are its
-alpha, phi and theta blocks.  A batch is cut before its pair instances,
-its table bytes or its histogram bins would pass their limits, so memory
-stays bounded on dense and on large sparse scenes alike.  Its counts are
-the loop kernel's, integer for integer.
-
-All kernels accumulate integer histogram counts / fixed-order float sums so
-results do not depend on thread count or batch size.
+Both kernels accumulate integer histogram counts / fixed-order float sums,
+so results do not depend on batch size.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy import sparse
 
-DISABLE_ENV = "PEDUNCLESEG_DISABLE_NUMBA"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay importable
-    numba = None
-    HAVE_NUMBA = False
-
-_disabled = os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes"}
-BACKEND = "numba" if (HAVE_NUMBA and not _disabled) else "numpy"
-
-if HAVE_NUMBA:
-    prange = numba.prange
-else:
-    prange = range
+BACKEND = "numpy"   # recorded in benchmark provenance
 
 NBINS = 11
 ALPHA_SCALE = NBINS / 2.0          # alpha, phi over [-1, 1]
 THETA_SCALE = NBINS / (2.0 * math.pi)  # theta over [-pi, pi]
 DEGENERATE_CROSS_SQ = 1e-24        # ||U x u|| < 1e-12
 
-KERNEL_LINEAR = 0
-KERNEL_RBF = 1
-
-
-# ---------------------------------------------------------------------------
-# loop sources (compiled by numba; kept as plain python for readability)
-# ---------------------------------------------------------------------------
-
-def _pfh_histograms_loops(xyz, normals, valid, nbr_idx, nbr_off, queries,
-                          counts, pair_counts):
-    nq = queries.shape[0]
-    for qi in prange(nq):
-        q = queries[qi]
-        if not valid[q]:
-            continue
-        lo = nbr_off[q]
-        hi = nbr_off[q + 1]
-        # valid members of the influence region (query included)
-        k = 0
-        for t in range(lo, hi):
-            if valid[nbr_idx[t]]:
-                k += 1
-        if k < 2:
-            continue
-        members = np.empty(k, dtype=np.int64)
-        k = 0
-        for t in range(lo, hi):
-            p = nbr_idx[t]
-            if valid[p]:
-                members[k] = p
-                k += 1
-        npairs = 0
-        for a in range(k):
-            i = members[a]
-            pix = xyz[i, 0]
-            piy = xyz[i, 1]
-            piz = xyz[i, 2]
-            nix = normals[i, 0]
-            niy = normals[i, 1]
-            niz = normals[i, 2]
-            for b in range(a + 1, k):
-                j = members[b]
-                dx = xyz[j, 0] - pix
-                dy = xyz[j, 1] - piy
-                dz = xyz[j, 2] - piz
-                d2 = dx * dx + dy * dy + dz * dz
-                if d2 == 0.0:
-                    continue
-                d = math.sqrt(d2)
-                ux = dx / d
-                uy = dy / d
-                uz = dz / d
-                njx = normals[j, 0]
-                njy = normals[j, 1]
-                njz = normals[j, 2]
-                dot_i = nix * ux + niy * uy + niz * uz
-                dot_j = njx * ux + njy * uy + njz * uz
-                # source: the endpoint whose normal is closer to the line
-                if abs(dot_i) >= abs(dot_j):
-                    sx, sy, sz = nix, niy, niz
-                    tx, ty, tz = njx, njy, njz
-                    usx, usy, usz = ux, uy, uz
-                else:
-                    sx, sy, sz = njx, njy, njz
-                    tx, ty, tz = nix, niy, niz
-                    usx, usy, usz = -ux, -uy, -uz
-                cx = sy * usz - sz * usy
-                cy = sz * usx - sx * usz
-                cz = sx * usy - sy * usx
-                c2 = cx * cx + cy * cy + cz * cz
-                if c2 < DEGENERATE_CROSS_SQ:
-                    continue
-                cn = math.sqrt(c2)
-                vx = cx / cn
-                vy = cy / cn
-                vz = cz / cn
-                wx = sy * vz - sz * vy
-                wy = sz * vx - sx * vz
-                wz = sx * vy - sy * vx
-                alpha = vx * tx + vy * ty + vz * tz
-                phi = sx * usx + sy * usy + sz * usz
-                theta = math.atan2(wx * tx + wy * ty + wz * tz,
-                                   sx * tx + sy * ty + sz * tz)
-                ba = int(math.floor((alpha + 1.0) * ALPHA_SCALE))
-                if ba < 0:
-                    ba = 0
-                elif ba > NBINS - 1:
-                    ba = NBINS - 1
-                bp = int(math.floor((phi + 1.0) * ALPHA_SCALE))
-                if bp < 0:
-                    bp = 0
-                elif bp > NBINS - 1:
-                    bp = NBINS - 1
-                bt = int(math.floor((theta + math.pi) * THETA_SCALE))
-                if bt < 0:
-                    bt = 0
-                elif bt > NBINS - 1:
-                    bt = NBINS - 1
-                counts[qi, ba] += 1
-                counts[qi, NBINS + bp] += 1
-                counts[qi, 2 * NBINS + bt] += 1
-                npairs += 1
-        pair_counts[qi] = npairs
-    return counts, pair_counts
-
-
-def _neighborhood_moments_loops(xyz, nbr_idx, nbr_off, counts, means, covs):
-    n = nbr_off.shape[0] - 1
-    for i in prange(n):
-        lo = nbr_off[i]
-        hi = nbr_off[i + 1]
-        k = hi - lo
-        counts[i] = k
-        if k == 0:
-            continue
-        sx = 0.0
-        sy = 0.0
-        sz = 0.0
-        for t in range(lo, hi):
-            p = nbr_idx[t]
-            sx += xyz[p, 0]
-            sy += xyz[p, 1]
-            sz += xyz[p, 2]
-        mx = sx / k
-        my = sy / k
-        mz = sz / k
-        means[i, 0] = mx
-        means[i, 1] = my
-        means[i, 2] = mz
-        cxx = 0.0
-        cxy = 0.0
-        cxz = 0.0
-        cyy = 0.0
-        cyz = 0.0
-        czz = 0.0
-        for t in range(lo, hi):
-            p = nbr_idx[t]
-            dx = xyz[p, 0] - mx
-            dy = xyz[p, 1] - my
-            dz = xyz[p, 2] - mz
-            cxx += dx * dx
-            cxy += dx * dy
-            cxz += dx * dz
-            cyy += dy * dy
-            cyz += dy * dz
-            czz += dz * dz
-        covs[i, 0, 0] = cxx / k
-        covs[i, 0, 1] = cxy / k
-        covs[i, 0, 2] = cxz / k
-        covs[i, 1, 0] = cxy / k
-        covs[i, 1, 1] = cyy / k
-        covs[i, 1, 2] = cyz / k
-        covs[i, 2, 0] = cxz / k
-        covs[i, 2, 1] = cyz / k
-        covs[i, 2, 2] = czz / k
-    return counts, means, covs
-
-
-def _decision_values_loops(x, sv, coef, bias, kind, gamma, out):
-    m = x.shape[0]
-    ns = sv.shape[0]
-    dim = x.shape[1]
-    for r in range(m):
-        acc = bias
-        if kind == KERNEL_LINEAR:
-            for s in range(ns):
-                dot = 0.0
-                for c in range(dim):
-                    dot += sv[s, c] * x[r, c]
-                acc += coef[s] * dot
-        else:
-            for s in range(ns):
-                dist2 = 0.0
-                for c in range(dim):
-                    diff = sv[s, c] - x[r, c]
-                    dist2 += diff * diff
-                acc += coef[s] * math.exp(-gamma * dist2)
-        out[r] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-_PAIR_BATCH = 2_000_000    # a batch's pair instances; also pairs binned at once
+_PAIR_BATCH = 2_000_000    # a batch's pair instances
+_BIN_BATCH = 1 << 17       # pairs binned at once: about 350 bytes each
 _TABLE_BYTES = 32 << 20    # a batch's dense code table: |U|^2 entries
 _CUBE_BINS = 2_000_000     # a batch's histogram bins: queries * _CODES
 _SKIP = NBINS ** 3         # code of a pair the histograms leave out
@@ -286,8 +81,8 @@ def _pair_table(members, member_off, n):
 def _bin_codes(i_arr, j_arr, xyz, normals):
     """Packed code ``ba * 121 + bp * 11 + bt`` of each pair (i, j), from its
     alpha, phi and theta bins, or ``_SKIP`` for coincident points and for a
-    source normal parallel to the join line.  The arithmetic is the loop
-    kernel's."""
+    source normal parallel to the join line.  The arithmetic is that of a
+    scalar loop over the pair's coordinates, operation for operation."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dx = xyz[j_arr, 0] - xyz[i_arr, 0]
         dy = xyz[j_arr, 1] - xyz[i_arr, 1]
@@ -368,13 +163,22 @@ def _query_batches(active, npairs, members, member_off, n):
     yield active[lo:], np.flatnonzero(batch_of == b)
 
 
-def _pfh_histograms_numpy(xyz, normals, valid, nbr_idx, nbr_off, queries,
-                          counts, pair_counts):
+def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
+    """Per-query raw 33-bin pair counts plus pair totals.
+
+    ``queries`` selects which points get histograms; neighbour lists are the
+    CSR arrays from the spatial index (self included, distinct indices in
+    ascending order, so each pair is taken from its lower index).  Points
+    flagged invalid contribute to nothing.
+    """
     # Each unique pair is binned once into a packed code.  Per batch of
     # queries, the codes of the pairs among the batch's members go into a
     # dense table, each pair instance is one lookup, and one bincount over
     # query * _CODES + code gives every query's (11, 11, 11) cube.
     n = xyz.shape[0]
+    nq = queries.shape[0]
+    counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)
+    pair_counts = np.zeros(nq, dtype=np.int64)
     # valid members of each valid query's neighbourhood, flattened
     lens = np.where(valid[queries], nbr_off[queries + 1] - nbr_off[queries], 0)
     members = nbr_idx[_concat_ranges(nbr_off[queries], lens)]
@@ -389,9 +193,9 @@ def _pfh_histograms_numpy(xyz, normals, valid, nbr_idx, nbr_off, queries,
         return counts, pair_counts
 
     pair_j, pair_i = _pair_table(members, member_off, n)
-    codes = np.concatenate([_bin_codes(pair_i[s:s + _PAIR_BATCH],
-                                       pair_j[s:s + _PAIR_BATCH], xyz, normals)
-                            for s in range(0, pair_i.size, _PAIR_BATCH)])
+    codes = np.concatenate([_bin_codes(pair_i[s:s + _BIN_BATCH],
+                                       pair_j[s:s + _BIN_BATCH], xyz, normals)
+                            for s in range(0, pair_i.size, _BIN_BATCH)])
     # table pairs by larger end: those of point j are row_off[j]:row_off[j + 1]
     row_off = np.concatenate(([0], np.cumsum(np.bincount(pair_j, minlength=n))))
     pos_a, pos_b = _pair_positions(int(k.max()))
@@ -430,10 +234,13 @@ def _pfh_histograms_numpy(xyz, normals, valid, nbr_idx, nbr_off, queries,
 _MOMENT_BATCH = 1_000_000
 
 
-def _neighborhood_moments_numpy(xyz, nbr_idx, nbr_off, counts, means, covs):
+def neighborhood_moments(xyz, nbr_idx, nbr_off):
+    """Counts, means and 3x3 covariances of each CSR neighbourhood."""
     n = nbr_off.shape[0] - 1
     seg_counts = np.diff(nbr_off)
-    counts[:] = seg_counts
+    counts = seg_counts.astype(np.int64)
+    means = np.zeros((n, 3))
+    covs = np.zeros((n, 3, 3))
     start = 0
     while start < n:
         stop = start
@@ -469,86 +276,3 @@ def _neighborhood_moments_numpy(xyz, nbr_idx, nbr_off, counts, means, covs):
         covs[start:stop, 2, 2] = acc[:, 5]
         start = stop
     return counts, means, covs
-
-
-def _decision_values_numpy(x, sv, coef, bias, kind, gamma, out):
-    # row-at-a-time so results cannot depend on how callers chunk the input
-    for r in range(x.shape[0]):
-        if kind == KERNEL_LINEAR:
-            kv = sv @ x[r]
-        else:
-            diff = sv - x[r]
-            kv = np.exp(-gamma * (diff * diff).sum(axis=1))
-        out[r] = coef @ kv + bias
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend binding
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _pfh_histograms_numba = numba.njit(cache=True, parallel=True)(_pfh_histograms_loops)
-    _neighborhood_moments_numba = numba.njit(cache=True, parallel=True)(
-        _neighborhood_moments_loops)
-    _decision_values_numba = numba.njit(cache=True, nogil=True)(_decision_values_loops)
-else:  # pragma: no cover
-    _pfh_histograms_numba = None
-    _neighborhood_moments_numba = None
-    _decision_values_numba = None
-
-if BACKEND == "numba":
-    _pfh_histograms = _pfh_histograms_numba
-    _neighborhood_moments = _neighborhood_moments_numba
-    _decision_values = _decision_values_numba
-else:
-    _pfh_histograms = _pfh_histograms_numpy
-    _neighborhood_moments = _neighborhood_moments_numpy
-    _decision_values = _decision_values_numpy
-
-
-def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries, *,
-                        impl=None):
-    """Per-query raw 33-bin pair counts plus pair totals.
-
-    ``queries`` selects which points get histograms; neighbour lists are the
-    CSR arrays from the spatial index (self included, distinct indices in
-    ascending order, so each pair is taken from its lower index).  Points
-    flagged invalid contribute to nothing.
-    """
-    nq = queries.shape[0]
-    counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)
-    pair_counts = np.zeros(nq, dtype=np.int64)
-    fn = impl if impl is not None else _pfh_histograms
-    fn(np.ascontiguousarray(xyz), np.ascontiguousarray(normals),
-       np.ascontiguousarray(valid), np.ascontiguousarray(nbr_idx),
-       np.ascontiguousarray(nbr_off), np.ascontiguousarray(queries),
-       counts, pair_counts)
-    return counts, pair_counts
-
-
-def neighborhood_moments(xyz, nbr_idx, nbr_off, *, impl=None):
-    """Counts, means and 3x3 covariances of each CSR neighbourhood."""
-    n = nbr_off.shape[0] - 1
-    counts = np.zeros(n, dtype=np.int64)
-    means = np.zeros((n, 3))
-    covs = np.zeros((n, 3, 3))
-    fn = impl if impl is not None else _neighborhood_moments
-    fn(np.ascontiguousarray(xyz), np.ascontiguousarray(nbr_idx),
-       np.ascontiguousarray(nbr_off), counts, means, covs)
-    return counts, means, covs
-
-
-def decision_values(x, sv, coef, bias, kind, gamma, *, impl=None):
-    """Signed kernel-expansion scores, one per row of ``x``.
-
-    Fixed per-row accumulation order: scores are bit-identical no matter how
-    the rows are split across workers.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.empty(x.shape[0])
-    fn = impl if impl is not None else _decision_values
-    fn(x, np.ascontiguousarray(sv, dtype=np.float64),
-       np.ascontiguousarray(coef, dtype=np.float64), float(bias), int(kind),
-       float(gamma), out)
-    return out

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .features import FeatureMatrix
 
 log = logging.getLogger(__name__)
@@ -300,7 +299,6 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             "converged": bool(converged),
             "dual_objective": objective,
             "support_count": int(sv.size),
-            "sv_indices": [int(s) for s in sv],
             "train_rows": n,
             "positive_rows": npos,
         },
@@ -316,12 +314,23 @@ def decision_scores(model: SvmModel, features) -> np.ndarray:
         raise ValueError(
             f"feature rows have dimension {rows.shape[-1] if rows.ndim else '?'}, "
             f"model expects {model.support_vectors.shape[1]}")
-    xs = model.scaling.apply(rows)
-    kind = _kernels.KERNEL_LINEAR if model.kernel.kind == "linear" \
-        else _kernels.KERNEL_RBF
-    gamma = model.kernel.gamma if model.kernel.gamma is not None else 0.0
-    return _kernels.decision_values(xs, model.support_vectors,
-                                    model.dual_coefs, model.bias, kind, gamma)
+    # float64 and C-contiguous, so BLAS sees the same layouts for every caller
+    xs = np.ascontiguousarray(model.scaling.apply(rows), dtype=np.float64)
+    sv = np.ascontiguousarray(model.support_vectors, dtype=np.float64)
+    coef = np.ascontiguousarray(model.dual_coefs, dtype=np.float64)
+    bias = float(model.bias)
+    linear = model.kernel.kind == "linear"
+    gamma = 0.0 if linear else float(model.kernel.gamma)
+    scores = np.empty(len(xs))
+    # row at a time, so a row's score cannot depend on how callers chunk rows
+    for r in range(len(xs)):
+        if linear:
+            kv = sv @ xs[r]
+        else:
+            diff = sv - xs[r]
+            kv = np.exp(-gamma * (diff * diff).sum(axis=1))
+        scores[r] = coef @ kv + bias
+    return scores
 
 
 def predict_parallel(model: SvmModel, features, workers: int = 1):

@@ -219,8 +219,11 @@ def test_criterion_4_smo_against_qp_oracle(rng):
                               np.sign(ky + bias))
 
         # KKT at 1e-3: margins sorted by the alpha box position
+        # each support vector is exactly one row of the scaled matrix
+        same = (model.support_vectors[:, None, :] == xs[None, :, :]).all(axis=2)
+        assert np.all(same.sum(axis=1) == 1)
         alpha = np.zeros(n)
-        alpha[model.meta["sv_indices"]] = np.abs(model.dual_coefs)
+        alpha[same.argmax(axis=1)] = np.abs(model.dual_coefs)
         margins = y * (k_mat @ (alpha * y) + model.bias)
         at_zero = alpha <= 1e-9
         at_c = alpha >= config.c - 1e-9

@@ -1,13 +1,117 @@
-"""The hot kernels: the numpy path against the plain-Python loop source, and
-against the numba path where numba is installed."""
+"""The hot kernels against plain-Python loops and written-out formulas."""
 
 import math
 
 import numpy as np
 import pytest
 
-from peduncleseg import DegeneratePairError, SpatialIndex, darboux_features
+from peduncleseg import (DegeneratePairError, KernelSpec, SpatialIndex,
+                         darboux_features, decision_scores)
 from peduncleseg import _kernels
+from peduncleseg._kernels import (ALPHA_SCALE, DEGENERATE_CROSS_SQ, NBINS,
+                                  THETA_SCALE)
+from peduncleseg.learn import ScalingStats, SvmModel
+
+
+def pfh_histograms_loops(xyz, normals, valid, nbr_idx, nbr_off, queries):
+    """The oracle for the PFH kernel: every pair of every queried
+    neighbourhood binned one at a time, in scalar arithmetic."""
+    nq = queries.shape[0]
+    counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)
+    pair_counts = np.zeros(nq, dtype=np.int64)
+    for qi in range(nq):
+        q = queries[qi]
+        if not valid[q]:
+            continue
+        lo = nbr_off[q]
+        hi = nbr_off[q + 1]
+        # valid members of the influence region (query included)
+        k = 0
+        for t in range(lo, hi):
+            if valid[nbr_idx[t]]:
+                k += 1
+        if k < 2:
+            continue
+        members = np.empty(k, dtype=np.int64)
+        k = 0
+        for t in range(lo, hi):
+            p = nbr_idx[t]
+            if valid[p]:
+                members[k] = p
+                k += 1
+        npairs = 0
+        for a in range(k):
+            i = members[a]
+            pix = xyz[i, 0]
+            piy = xyz[i, 1]
+            piz = xyz[i, 2]
+            nix = normals[i, 0]
+            niy = normals[i, 1]
+            niz = normals[i, 2]
+            for b in range(a + 1, k):
+                j = members[b]
+                dx = xyz[j, 0] - pix
+                dy = xyz[j, 1] - piy
+                dz = xyz[j, 2] - piz
+                d2 = dx * dx + dy * dy + dz * dz
+                if d2 == 0.0:
+                    continue
+                d = math.sqrt(d2)
+                ux = dx / d
+                uy = dy / d
+                uz = dz / d
+                njx = normals[j, 0]
+                njy = normals[j, 1]
+                njz = normals[j, 2]
+                dot_i = nix * ux + niy * uy + niz * uz
+                dot_j = njx * ux + njy * uy + njz * uz
+                # source: the endpoint whose normal is closer to the line
+                if abs(dot_i) >= abs(dot_j):
+                    sx, sy, sz = nix, niy, niz
+                    tx, ty, tz = njx, njy, njz
+                    usx, usy, usz = ux, uy, uz
+                else:
+                    sx, sy, sz = njx, njy, njz
+                    tx, ty, tz = nix, niy, niz
+                    usx, usy, usz = -ux, -uy, -uz
+                cx = sy * usz - sz * usy
+                cy = sz * usx - sx * usz
+                cz = sx * usy - sy * usx
+                c2 = cx * cx + cy * cy + cz * cz
+                if c2 < DEGENERATE_CROSS_SQ:
+                    continue
+                cn = math.sqrt(c2)
+                vx = cx / cn
+                vy = cy / cn
+                vz = cz / cn
+                wx = sy * vz - sz * vy
+                wy = sz * vx - sx * vz
+                wz = sx * vy - sy * vx
+                alpha = vx * tx + vy * ty + vz * tz
+                phi = sx * usx + sy * usy + sz * usz
+                theta = math.atan2(wx * tx + wy * ty + wz * tz,
+                                   sx * tx + sy * ty + sz * tz)
+                ba = int(math.floor((alpha + 1.0) * ALPHA_SCALE))
+                if ba < 0:
+                    ba = 0
+                elif ba > NBINS - 1:
+                    ba = NBINS - 1
+                bp = int(math.floor((phi + 1.0) * ALPHA_SCALE))
+                if bp < 0:
+                    bp = 0
+                elif bp > NBINS - 1:
+                    bp = NBINS - 1
+                bt = int(math.floor((theta + math.pi) * THETA_SCALE))
+                if bt < 0:
+                    bt = 0
+                elif bt > NBINS - 1:
+                    bt = NBINS - 1
+                counts[qi, ba] += 1
+                counts[qi, NBINS + bp] += 1
+                counts[qi, 2 * NBINS + bt] += 1
+                npairs += 1
+        pair_counts[qi] = npairs
+    return counts, pair_counts
 
 
 def scene(rng, n=300, radius=0.015):
@@ -61,6 +165,20 @@ def record_batches(monkeypatch):
     return batches
 
 
+def record_bin_chunks(monkeypatch):
+    """List that collects the pair count of every chunk the PFH kernel bins
+    while ``monkeypatch`` is active."""
+    chunks = []
+    bin_codes = _kernels._bin_codes
+
+    def spy(i_arr, j_arr, xyz, normals):
+        chunks.append(i_arr.size)
+        return bin_codes(i_arr, j_arr, xyz, normals)
+
+    monkeypatch.setattr(_kernels, "_bin_codes", spy)
+    return chunks
+
+
 def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
     """Batches cover the queries with pairs once, in order; each one's union
     is its members'; each keeps within the three limits unless it holds a
@@ -88,85 +206,6 @@ def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
             assert not within(np.append(sel, batches[b + 1][0][0]))
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba unavailable")
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    @staticmethod
-    def _child_backend(flag):
-        """BACKEND as reported by a fresh interpreter, with the env flag set
-        to ``flag`` (or removed when ``None``)."""
-        import os
-        import subprocess
-        import sys
-
-        import peduncleseg
-
-        env = dict(os.environ)
-        env.pop("PEDUNCLESEG_DISABLE_NUMBA", None)
-        if flag is not None:
-            env["PEDUNCLESEG_DISABLE_NUMBA"] = flag
-        # the child must import the same package this suite imported
-        pkg_root = os.path.dirname(os.path.dirname(peduncleseg.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from peduncleseg import _kernels; print(_kernels.BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    def test_env_flag_selects_numpy(self):
-        assert self._child_backend("1") == "numpy"
-        # control: without the flag the child picks numba whenever it can, so
-        # on a numba machine the pair shows that the flag is what selects numpy
-        expected = "numba" if _kernels.HAVE_NUMBA else "numpy"
-        assert self._child_backend(None) == expected
-
-
-@needs_numba
-class TestCrossBackend:
-    def test_pfh_counts_exactly_equal(self, rng):
-        xyz, normals, valid, nbr_idx, nbr_off = scene(rng)
-        queries = np.arange(len(xyz), dtype=np.int64)
-        c_a, p_a = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numba)
-        c_b, p_b = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
-        assert np.array_equal(c_a, c_b)
-        assert np.array_equal(p_a, p_b)
-
-    def test_moments_agree(self, rng):
-        xyz, _n, _v, nbr_idx, nbr_off = scene(rng)
-        cnt_a, m_a, c_a = _kernels.neighborhood_moments(
-            xyz, nbr_idx, nbr_off, impl=_kernels._neighborhood_moments_numba)
-        cnt_b, m_b, c_b = _kernels.neighborhood_moments(
-            xyz, nbr_idx, nbr_off, impl=_kernels._neighborhood_moments_numpy)
-        assert np.array_equal(cnt_a, cnt_b)
-        assert np.abs(m_a - m_b).max() < 1e-14
-        assert np.abs(c_a - c_b).max() < 1e-16
-
-    def test_decision_values_agree(self, rng):
-        sv = rng.normal(size=(80, 36))
-        coef = rng.normal(size=80)
-        x = rng.normal(size=(500, 36))
-        for kind, gamma in ((_kernels.KERNEL_LINEAR, 0.0),
-                            (_kernels.KERNEL_RBF, 0.05)):
-            a = _kernels.decision_values(x, sv, coef, 0.37, kind, gamma,
-                                         impl=_kernels._decision_values_numba)
-            b = _kernels.decision_values(x, sv, coef, 0.37, kind, gamma,
-                                         impl=_kernels._decision_values_numpy)
-            scale = np.abs(a).max()
-            assert np.abs(a - b).max() < 1e-10 * max(scale, 1.0)
-
-
 class TestPfhNumpy:
     def test_pfh_histogram_row_structure(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off = scene(rng)
@@ -183,12 +222,10 @@ class TestPfhNumpy:
         xyz, normals, valid, nbr_idx, nbr_off = scene(rng, n=150)
         queries = np.arange(len(xyz), dtype=np.int64)
         big = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         monkeypatch.setattr(_kernels, "_PAIR_BATCH", 37)
         small = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert np.array_equal(big[0], small[0])
         assert np.array_equal(big[1], small[1])
 
@@ -202,11 +239,9 @@ class TestPfhNumpy:
             queries = np.array([9, 3, 0, 4, 3, len(xyz) - 1, 1, 7, 20],
                                dtype=np.int64)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
-        want = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_loops)
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
+        want = pfh_histograms_loops(
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert want[1].sum() > 0
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -222,6 +257,7 @@ class TestPfhNumpy:
         ("_PAIR_BATCH", 37),
         ("_TABLE_BYTES", _kernels._MISSING.itemsize * 12 ** 2),
         ("_CUBE_BINS", 3 * _kernels._CODES),
+        ("_BIN_BATCH", 37),
     ])
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene])
@@ -232,15 +268,16 @@ class TestPfhNumpy:
         if subset:
             queries = np.array([9, 3, 0, 4, 3, len(xyz) - 1, 1, 7, 20],
                                dtype=np.int64)
-        want = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_loops)
+        want = pfh_histograms_loops(
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         monkeypatch.setattr(_kernels, limit, value)
         batches = record_batches(monkeypatch)
+        chunks = record_bin_chunks(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
-        assert len(batches) >= 3
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
+        # the limit under test cuts the work into three pieces or more
+        assert len(chunks if limit == "_BIN_BATCH" else batches) >= 3
+        assert max(chunks) <= _kernels._BIN_BATCH
         assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -250,17 +287,15 @@ class TestPfhNumpy:
         xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng, clusters=1,
                                                                 size=40)
         queries = np.arange(len(xyz), dtype=np.int64)
-        want = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_loops)
+        want = pfh_histograms_loops(
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         # a table of exactly the 40 points: the union never grows past them,
         # so one table serves every query
         monkeypatch.setattr(_kernels, "_TABLE_BYTES",
                             40 ** 2 * _kernels._MISSING.itemsize)
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert [(len(sel), union.size) for sel, union in batches] == [(40, 40)]
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -269,15 +304,13 @@ class TestPfhNumpy:
         xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng)
         # one query from each cluster in turn, so every query widens the union
         queries = np.arange(len(xyz), dtype=np.int64).reshape(5, 8).T.ravel()
-        want = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_loops)
+        want = pfh_histograms_loops(
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         monkeypatch.setattr(_kernels, "_TABLE_BYTES",
                             16 ** 2 * _kernels._MISSING.itemsize)
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries,
-            impl=_kernels._pfh_histograms_numpy)
+            xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert max(union.size for _sel, union in batches) == 16
         assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
         assert np.array_equal(got[0], want[0])
@@ -290,8 +323,7 @@ class TestPfhNumpy:
         with pytest.raises(AssertionError, match="pair table"):
             _kernels.pfh_pair_histograms(
                 xyz, normals, valid, np.concatenate(rows), nbr_off,
-                np.arange(60, dtype=np.int64),
-                impl=_kernels._pfh_histograms_numpy)
+                np.arange(60, dtype=np.int64))
 
 
 class TestBinning:
@@ -333,16 +365,43 @@ class TestMomentCorrectness:
             assert np.allclose(covs[i], expect, atol=1e-12)
 
 
+def expansion_model(rng, kernel, ns=40, d=36):
+    """A model of ns random support vectors, coefficients and scaling."""
+    scaling = ScalingStats(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    return SvmModel(kernel, 1.0, scaling, rng.normal(size=(ns, d)),
+                    rng.normal(size=ns), -0.2)
+
+
+KERNELS = pytest.mark.parametrize(
+    "kernel", [KernelSpec("rbf", 0.01), KernelSpec("linear", None)],
+    ids=["rbf", "linear"])
+
+
 class TestDecisionChunking:
-    def test_row_scores_independent_of_chunking(self, rng):
-        sv = rng.normal(size=(40, 36))
-        coef = rng.normal(size=40)
+    @KERNELS
+    def test_row_scores_independent_of_chunking(self, rng, kernel):
+        model = expansion_model(rng, kernel)
         x = rng.normal(size=(101, 36))
-        whole = _kernels.decision_values(x, sv, coef, -0.2,
-                                         _kernels.KERNEL_RBF, 0.01)
-        pieces = [
-            _kernels.decision_values(chunk, sv, coef, -0.2,
-                                     _kernels.KERNEL_RBF, 0.01)
-            for chunk in np.array_split(x, 7)
-        ]
+        whole = decision_scores(model, x)
+        pieces = [decision_scores(model, chunk)
+                  for chunk in np.array_split(x, 7)]
         assert np.array_equal(whole, np.concatenate(pieces))
+
+    @KERNELS
+    def test_scores_equal_written_out_expansion(self, rng, kernel):
+        model = expansion_model(rng, kernel)
+        x = rng.normal(size=(20, 36))
+        got = decision_scores(model, x)
+        mean, std = model.scaling.mean, model.scaling.std
+        for r, row in enumerate(x):
+            xs = [(v - m) / s for v, m, s in zip(row, mean, std)]
+            terms = [model.bias]
+            for sv, coef in zip(model.support_vectors, model.dual_coefs):
+                if kernel.kind == "linear":
+                    k = math.fsum(a * b for a, b in zip(sv, xs))
+                else:
+                    k = math.exp(-kernel.gamma
+                                 * math.fsum((a - b) ** 2 for a, b in zip(sv, xs)))
+                terms.append(coef * k)
+            want = math.fsum(terms)
+            assert abs(got[r] - want) <= 1e-12 * abs(want)

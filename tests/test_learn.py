@@ -76,10 +76,17 @@ def gram(x, kernel):
     return np.exp(-kernel.gamma * d2)
 
 
-def full_alpha(model, n):
-    alpha = np.zeros(n)
-    idx = model.meta["sv_indices"]
-    alpha[idx] = np.abs(model.dual_coefs)
+def sv_rows(model, xs):
+    """Row of the scaled training matrix xs that each support vector is;
+    each must match exactly one row."""
+    same = (model.support_vectors[:, None, :] == xs[None, :, :]).all(axis=2)
+    assert np.all(same.sum(axis=1) == 1)
+    return same.argmax(axis=1)
+
+
+def full_alpha(model, xs):
+    alpha = np.zeros(len(xs))
+    alpha[sv_rows(model, xs)] = np.abs(model.dual_coefs)
     return alpha
 
 
@@ -117,7 +124,7 @@ class TestSmoAgainstQpOracle:
             xs = model.scaling.apply(fm.values)
             y = np.where(fm.labels == 1, 1.0, -1.0)
             k_mat = gram(xs, config.kernel)
-            alpha = full_alpha(model, len(fm))
+            alpha = full_alpha(model, xs)
 
             assert np.all(alpha >= -1e-12)
             assert np.all(alpha <= config.c + 1e-12)
@@ -246,7 +253,7 @@ def assert_matches_reference(x, labels, config):
     sv = np.flatnonzero(alpha > SV_EPS)
     assert model.meta["converged"] is converged
     assert model.meta["iterations"] == it
-    assert model.meta["sv_indices"] == sv.tolist()
+    assert np.array_equal(sv_rows(model, xs), sv)
     assert np.array_equal(model.support_vectors, xs[sv])
     assert np.array_equal(model.dual_coefs, alpha[sv] * y[sv])
     assert model.bias == bias
@@ -548,6 +555,11 @@ class TestModelFile:
             assert key in doc
         assert doc["schema_version"] == 1
         assert set(doc["scaling"]) == {"mean", "std"}
+        # files written before support-vector indices left the meta still load
+        assert "sv_indices" not in doc["meta"]
+        doc["meta"]["sv_indices"] = list(range(len(doc["dual_coefs"])))
+        path.write_text(json.dumps(doc))
+        assert load_model(path).meta["sv_indices"] == doc["meta"]["sv_indices"]
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("kernel"),
