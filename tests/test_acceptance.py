@@ -218,10 +218,10 @@ def test_criterion_4_smo_against_qp_oracle(rng):
         assert np.array_equal(np.sign(decision_scores(model, x)),
                               np.sign(ky + bias))
 
-        # KKT at 1e-3: margins sorted by the alpha box position
         # each support vector is exactly one row of the scaled matrix
         same = (model.support_vectors[:, None, :] == xs[None, :, :]).all(axis=2)
         assert np.all(same.sum(axis=1) == 1)
+        # KKT at 1e-3: margins sorted by the alpha box position
         alpha = np.zeros(n)
         alpha[same.argmax(axis=1)] = np.abs(model.dual_coefs)
         margins = y * (k_mat @ (alpha * y) + model.bias)
