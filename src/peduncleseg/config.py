@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,13 @@ _SCHEMA = {
               "max_train_rows": int},
     "paths": {"model": str, "reports": str},
 }
+# keys that set a field of PipelineConfig itself; the other keys of a
+# section set the same-named field of its part (outlier, voxel, normals,
+# train; kernel and gamma make the train part's KernelSpec)
+_TOP_FIELDS = {("features", "radius_ri"): "radius_ri",
+               ("train", "max_train_rows"): "max_train_rows",
+               ("paths", "model"): "model_path",
+               ("paths", "reports"): "report_dir"}
 
 
 def _parse_value(section, key, raw):
@@ -82,36 +89,24 @@ def load_pipeline_config(path) -> PipelineConfig:
 
 
 def _build(values) -> PipelineConfig:
-    def get(section, key, default):
-        return values.get((section, key), default)
+    """PipelineConfig from the dataclass defaults and the keys the file sets."""
+    def part(section):
+        return {key: v for (s, key), v in values.items()
+                if s == section and (s, key) not in _TOP_FIELDS}
 
+    base = PipelineConfig()
     try:
-        outlier = OutlierParams(get("outlier", "k_neighbours", 50),
-                                get("outlier", "stddev_multiplier", 1.0))
-        voxel = VoxelParams(get("voxel", "leaf_size", 0.002))
-        normals = NormalParams(get("normals", "radius_rn", 0.01),
-                               get("normals", "viewpoint", np.zeros(3)))
-        kind = get("train", "kernel", "rbf")
-        gamma = get("train", "gamma", 0.01 if kind == "rbf" else None)
-        kernel = KernelSpec(kind, gamma)
-        train = TrainConfig(
-            kernel=kernel,
-            c=get("train", "c", 100.0),
-            tolerance=get("train", "tolerance", 1e-3),
-            max_passes=get("train", "max_passes", 10),
-            seed=get("train", "seed", 0),
-            feature_set=get("train", "feature_set", "full"),
-        )
-        return PipelineConfig(
-            outlier=outlier,
-            voxel=voxel,
-            normals=normals,
-            radius_ri=get("features", "radius_ri", 0.01),
-            train=train,
-            max_train_rows=get("train", "max_train_rows", 4000),
-            model_path=get("paths", "model", "model.json"),
-            report_dir=get("paths", "reports", "reports"),
-        )
+        train = part("train")
+        kind = train.pop("kernel", base.train.kernel.kind)
+        gamma = train.pop("gamma",
+                          KernelSpec().gamma if kind == "rbf" else None)
+        return replace(
+            base,
+            outlier=replace(base.outlier, **part("outlier")),
+            voxel=replace(base.voxel, **part("voxel")),
+            normals=replace(base.normals, **part("normals")),
+            train=replace(base.train, kernel=KernelSpec(kind, gamma), **train),
+            **{name: values[key] for key, name in _TOP_FIELDS.items()
+               if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-

@@ -8,13 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_io import DatasetManifest, read_cloud
+from .cloud_io import DatasetManifest
 from .features import select_features
 from .learn import SvmModel, TrainConfig, TrainingError, decision_scores, train_svm
+from .pipeline import (assemble_training_matrix, manifest_scene_features,
+                       pooled_features)
 
 log = logging.getLogger(__name__)
 
 STRATIFY_KEYS = ("none", "trip", "colour")
+# evaluate's slices in report order: (tag, manifest entry field, value);
+# "overall" holds every scene
+_SLICES = (("overall", None, None), ("trip-1", "trip", 1),
+           ("trip-2", "trip", 2), ("red", "colour", "red"),
+           ("green", "colour", "green"), ("mixed", "colour", "mixed"))
 
 
 class EvaluationError(RuntimeError):
@@ -118,19 +125,10 @@ def pr_curve(scores, labels) -> PrCurve:
     )
 
 
-def auc(curve: PrCurve, method: str = "trapezoid") -> float:
-    """Area under the curve along the recall axis.
-
-    "trapezoid" (the default, used by all reported numbers) joins adjacent
-    points linearly; "step" is average-precision style, holding each point's
-    precision over its recall increment.
-    """
+def auc(curve: PrCurve) -> float:
+    """Area under the curve along the recall axis (trapezoid rule)."""
     r, p = curve.recall, curve.precision
-    if method == "trapezoid":
-        return float(np.sum(np.diff(r) * (p[1:] + p[:-1]) / 2.0))
-    if method == "step":
-        return float(np.sum(np.diff(r) * p[1:]))
-    raise ValueError(f"unknown AUC method {method!r}")
+    return float(np.sum(np.diff(r) * (p[1:] + p[:-1]) / 2.0))
 
 
 @dataclass
@@ -142,53 +140,35 @@ class EvalReport:
     negatives: int
 
 
-def _pool_scene_scores(model, manifest, pipeline):
-    """Score every labelled point of every scene; returns pooled arrays."""
-    from .pipeline import scene_features   # local import to avoid a cycle
-
-    feature_set = model.meta.get("feature_set", "full")
-    all_scores, all_labels, all_trips, all_colours = [], [], [], []
-    for entry in manifest.entries:
-        cloud = read_cloud(manifest.resolve(entry))
-        _cloud, fm = scene_features(cloud, pipeline)
-        fm = select_features(fm, feature_set)
-        keep = fm.labels >= 0
-        if not keep.any():
-            log.warning("scene %s has no labelled points, skipping", entry.path)
-            continue
-        scores = decision_scores(model, fm.values[keep])
-        labels = fm.labels[keep]
-        all_scores.append(scores)
-        all_labels.append(labels)
-        all_trips.append(np.full(len(scores), entry.trip, dtype=np.int64))
-        all_colours.append(np.array([entry.colour] * len(scores)))
-    if not all_scores:
-        raise EvaluationError("no labelled points in any scene")
-    return (np.concatenate(all_scores), np.concatenate(all_labels),
-            np.concatenate(all_trips), np.concatenate(all_colours))
-
-
 def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalReport]:
     """Point-pooled PR/AUC over the test manifest, overall plus slices.
 
     Produces one report per slice: "overall", then "trip-1"/"trip-2" and one
     per colour tag, in that order, for slices that are present.  A slice
-    whose pooled points are single-class is skipped with a warning.
+    holds the labelled points of the scenes whose manifest entry matches it.
+    A slice whose pooled points are single-class is skipped with a warning.
     """
-    scores, labels, trips, colours = _pool_scene_scores(model, test, pipeline)
-    slices = [("overall", np.ones(len(scores), dtype=bool))]
-    for trip in (1, 2):
-        mask = trips == trip
-        if mask.any():
-            slices.append((f"trip-{trip}", mask))
-    for colour in ("red", "green", "mixed"):
-        mask = colours == colour
-        if mask.any():
-            slices.append((colour, mask))
+    feature_set = model.meta.get("feature_set", "full")
+    scenes = []   # (entry, scores, labels) of each scene with labelled points
+    for entry, fm in manifest_scene_features(test, pipeline):
+        fm = select_features(fm, feature_set)
+        keep = fm.labels >= 0
+        if not keep.any():
+            log.warning("scene %s has no labelled points, skipping", entry.path)
+            continue
+        scenes.append((entry, decision_scores(model, fm.values[keep]),
+                       fm.labels[keep]))
+    if not scenes:
+        raise EvaluationError("no labelled points in any scene")
 
     reports = []
-    for tag, mask in slices:
-        sl, ll = scores[mask], labels[mask]
+    for tag, attr, value in _SLICES:
+        members = [(s, lab) for entry, s, lab in scenes
+                   if attr is None or getattr(entry, attr) == value]
+        if not members:
+            continue
+        sl = np.concatenate([s for s, _lab in members])
+        ll = np.concatenate([lab for _s, lab in members])
         try:
             curve = pr_curve(sl, ll)
         except EvaluationError as exc:
@@ -217,8 +197,6 @@ def sweep(train: DatasetManifest, grid, validation: DatasetManifest,
     Successes come first, sorted by AUC descending with ties kept in grid
     order; failed configs follow with their error message.
     """
-    from .pipeline import assemble_training_matrix, pooled_features
-
     grid = list(grid)
     if not grid:
         raise ValueError("empty parameter grid")

@@ -421,6 +421,9 @@ def load_model(path) -> SvmModel:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("model field 'meta' has the wrong type")
+    if meta.get("feature_set", "full") not in FEATURE_SETS:
+        raise ModelFormatError(
+            f"model meta names unknown feature set {meta['feature_set']!r}")
     if sv.ndim != 2 and sv.size > 0:
         raise ModelFormatError("support_vectors must be a list of rows")
     if sv.size == 0:

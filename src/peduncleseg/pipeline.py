@@ -47,18 +47,24 @@ def scene_features(cloud: PointCloud, cfg: PipelineConfig):
     return sampled, features
 
 
-def pooled_features(manifest: DatasetManifest, cfg: PipelineConfig) -> FeatureMatrix:
-    """Concatenate feature rows of every scene in the manifest (full 36-d)."""
-    values, labels, valid = [], [], []
+def manifest_scene_features(manifest: DatasetManifest, cfg: PipelineConfig):
+    """Read and featurise each scene of the manifest in order.
+
+    Yields (entry, features) per entry; the features are the full 36-d rows
+    of scene_features.
+    """
     for entry in manifest.entries:
         log.info("processing scene %s", entry.path)
-        cloud = read_cloud(manifest.resolve(entry))
-        _cloud, fm = scene_features(cloud, cfg)
-        values.append(fm.values)
-        labels.append(fm.labels)
-        valid.append(fm.valid)
-    return FeatureMatrix(np.concatenate(values), np.concatenate(labels),
-                         np.concatenate(valid))
+        _cloud, fm = scene_features(read_cloud(manifest.resolve(entry)), cfg)
+        yield entry, fm
+
+
+def pooled_features(manifest: DatasetManifest, cfg: PipelineConfig) -> FeatureMatrix:
+    """Concatenate feature rows of every scene in the manifest (full 36-d)."""
+    scenes = [fm for _entry, fm in manifest_scene_features(manifest, cfg)]
+    return FeatureMatrix(np.concatenate([fm.values for fm in scenes]),
+                         np.concatenate([fm.labels for fm in scenes]),
+                         np.concatenate([fm.valid for fm in scenes]))
 
 
 def assemble_training_matrix(source, cfg: PipelineConfig,

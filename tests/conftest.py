@@ -1,22 +1,12 @@
 import numpy as np
 import pytest
 
-from peduncleseg import PointCloud
+from clouds import random_cloud
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_cloud(rng, n=50, labelled=True, scale=0.05):
-    xyz = rng.normal(size=(n, 3)) * scale
-    rgb = rng.integers(0, 256, size=(n, 3), dtype=np.int64).astype(np.uint8)
-    if labelled:
-        labels = rng.integers(0, 2, size=n).astype(np.int8)
-    else:
-        labels = np.full(n, -1, dtype=np.int8)
-    return PointCloud(xyz, rgb, labels)
 
 
 @pytest.fixture

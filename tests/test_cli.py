@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from peduncleseg import (ConfigError, cli, learn, load_pipeline_config,
+from peduncleseg import (ConfigError, KernelSpec, NormalParams,
+                         OutlierParams, PipelineConfig, TrainConfig,
+                         VoxelParams, cli, learn, load_pipeline_config,
                          read_cloud, read_manifest)
 
 CONFIG_INI = """\
@@ -53,6 +55,15 @@ def workdir(tmp_path_factory):
             "model": str(model)}
 
 
+def bogus_feature_set_model(workdir, tmp_path):
+    """Copy of the trained model whose meta names an unknown feature set."""
+    doc = json.loads((workdir["base"] / "model.json").read_text())
+    doc["meta"]["feature_set"] = "bogus"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -87,6 +98,85 @@ class TestHelpAndUsage:
         rc = cli.main(["--config", str(cfg), "synth", workdir["spec"],
                        str(tmp_path / "out")])
         assert rc == 2
+
+
+def assert_configs_equal(got, want):
+    assert got.outlier == want.outlier
+    assert got.voxel == want.voxel
+    assert got.normals.radius_rn == want.normals.radius_rn
+    assert np.array_equal(got.normals.viewpoint, want.normals.viewpoint)
+    assert got.train == want.train
+    assert (got.radius_ri, got.max_train_rows, got.model_path,
+            got.report_dir) == (want.radius_ri, want.max_train_rows,
+                                want.model_path, want.report_dir)
+
+
+class TestPipelineConfig:
+    def test_empty_file_gives_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        assert_configs_equal(load_pipeline_config(path), PipelineConfig())
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "full.ini"
+        path.write_text("""\
+[outlier]
+k_neighbours = 7
+stddev_multiplier = 2.5
+[voxel]
+leaf_size = 0.004
+[normals]
+radius_rn = 0.03
+viewpoint = 1, 2 3
+[features]
+radius_ri = 0.02
+[train]
+kernel = rbf
+gamma = 0.5
+c = 3
+tolerance = 0.01
+max_passes = 4
+seed = 9
+feature_set = hsv
+max_train_rows = 300
+[paths]
+model = m.json
+reports = out
+""")
+        want = PipelineConfig(
+            outlier=OutlierParams(7, 2.5), voxel=VoxelParams(0.004),
+            normals=NormalParams(0.03, np.array([1.0, 2.0, 3.0])),
+            radius_ri=0.02,
+            train=TrainConfig(KernelSpec("rbf", 0.5), c=3.0, tolerance=0.01,
+                              max_passes=4, seed=9, feature_set="hsv"),
+            max_train_rows=300, model_path="m.json", report_dir="out")
+        assert_configs_equal(load_pipeline_config(path), want)
+        # the file above sets every key of the schema
+        from peduncleseg.config import _SCHEMA
+        text = path.read_text()
+        for section, keys in _SCHEMA.items():
+            assert f"[{section}]" in text
+            for key in keys:
+                assert f"\n{key} = " in text
+
+    @pytest.mark.parametrize("train, gamma", [
+        ("kernel = linear\n", None),
+        ("kernel = rbf\n", 0.01),
+        ("c = 5\n", 0.01),
+    ])
+    def test_gamma_default_follows_kernel(self, tmp_path, train, gamma):
+        path = tmp_path / "k.ini"
+        path.write_text("[train]\n" + train)
+        assert load_pipeline_config(path).train.kernel.gamma == gamma
+
+    def test_invalid_value_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        for text in ("[train]\nkernel = linear\ngamma = 0.1\n",
+                     "[voxel]\nleaf_size = 0\n",
+                     "[train]\nmax_train_rows = 1\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_pipeline_config(path)
 
 
 class TestSynth:
@@ -235,6 +325,15 @@ class TestPredict:
         assert rc == 4
         assert "model" in capsys.readouterr().err
 
+    def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
+                                                 capsys):
+        bogus = bogus_feature_set_model(workdir, tmp_path)
+        rc = cli.main(["--config", workdir["cfg"], "predict", str(bogus),
+                       str(workdir["data"] / "scene-000.cloud"),
+                       str(tmp_path / "out.cloud")])
+        assert rc == 4
+        assert "bogus" in capsys.readouterr().err
+
     def test_missing_cloud_exit_3(self, workdir, tmp_path):
         rc = cli.main(["--config", workdir["cfg"], "predict",
                        workdir["model"], str(tmp_path / "nope.cloud"),
@@ -258,6 +357,26 @@ class TestEvaluate:
             curve = (report_dir / f"pr_{tag}.csv").read_text().splitlines()
             assert curve[0] == "threshold,recall,precision"
             assert len(curve) > 2
+
+    def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
+                                                 capsys):
+        bogus = bogus_feature_set_model(workdir, tmp_path)
+        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(bogus),
+                       workdir["manifest"], str(tmp_path / "reports")])
+        assert rc == 4
+        assert "bogus" in capsys.readouterr().err
+
+    def test_no_labelled_points_exit_4(self, workdir, tmp_path, capsys):
+        from peduncleseg import write_cloud
+        cloud = read_cloud(workdir["data"] / "scene-000.cloud")
+        write_cloud(cloud.with_labels(np.full(len(cloud), -1, dtype=np.int8)),
+                    tmp_path / "a.cloud")
+        (tmp_path / "manifest.csv").write_text("a.cloud,a,1,red\n")
+        rc = cli.main(["--config", workdir["cfg"], "evaluate",
+                       workdir["model"], str(tmp_path / "manifest.csv"),
+                       str(tmp_path / "reports")])
+        assert rc == 4
+        assert "no labelled points" in capsys.readouterr().err
 
     def test_garbled_cloud_exit_3(self, workdir, tmp_path):
         (tmp_path / "bad.cloud").write_text("FIELDS x y z\nPOINTS 1\n1 2\n")

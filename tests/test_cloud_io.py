@@ -6,7 +6,7 @@ from peduncleseg import (CloudFormatError, DatasetManifest, ManifestEntry,
                          write_cloud, write_manifest)
 from peduncleseg.cloud_io import _decode_packed_rgb
 
-from conftest import random_cloud
+from clouds import random_cloud
 
 
 def write_text(path, text):

@@ -166,13 +166,6 @@ class TestAuc:
             perm = rng.permutation(n)
             assert auc(pr_curve(scores[perm], labels[perm])) == base
 
-    def test_step_method_flag(self):
-        curve = pr_curve([0.9, 0.8, 0.3], [0, 1, 1])
-        assert auc(curve, method="step") == pytest.approx(
-            0.5 * 0.5 + 0.5 * (2 / 3), abs=1e-12)
-        with pytest.raises(ValueError):
-            auc(curve, method="simpson")
-
 
 def tiny_config():
     from peduncleseg import (KernelSpec, NormalParams, OutlierParams,
@@ -256,6 +249,137 @@ class TestEvaluate:
         b = evaluate(model, test_m, cfg)
         assert [(r.slice_tag, r.auc) for r in a] == \
             [(r.slice_tag, r.auc) for r in b]
+
+
+def scene_dataset(tmp_path, scenes):
+    """Manifest of synthetic scenes, one per (colour, trip, seed, labels).
+
+    labels is None to keep the scene's own labels, or the one label every
+    point gets (-1 leaves the scene unlabelled).
+    """
+    from peduncleseg import SceneSpec, generate_scene, scene_for_colour, \
+        write_cloud
+
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, (colour, trip, seed, labels) in enumerate(scenes):
+        spec = scene_for_colour(
+            SceneSpec(points_body=350, points_peduncle=90, seed=seed),
+            colour, i)
+        cloud = generate_scene(spec)
+        if labels is not None:
+            cloud = cloud.with_labels(np.full(len(cloud), labels,
+                                              dtype=np.int8))
+        write_cloud(cloud, tmp_path / f"s{i}.cloud")
+        entries.append(ManifestEntry(f"s{i}.cloud", f"s{i}", trip, colour))
+    return DatasetManifest(entries, base_dir=tmp_path)
+
+
+def reference_reports(model, manifest, cfg):
+    """evaluate() written out: per-point slice masks over the pooled scores.
+
+    Returns (tag, auc, curve, positives, negatives) per reported slice.
+    """
+    from peduncleseg import (decision_scores, read_cloud, scene_features,
+                             select_features)
+
+    subset = model.meta.get("feature_set", "full")
+    scores, labels, trips, colours = [], [], [], []
+    for entry in manifest.entries:
+        _cloud, fm = scene_features(read_cloud(manifest.resolve(entry)), cfg)
+        fm = select_features(fm, subset)
+        keep = fm.labels >= 0
+        scores.append(decision_scores(model, fm.values[keep]))
+        labels.append(fm.labels[keep])
+        trips += [entry.trip] * int(keep.sum())
+        colours += [entry.colour] * int(keep.sum())
+    scores, labels = np.concatenate(scores), np.concatenate(labels)
+    trips, colours = np.array(trips), np.array(colours)
+    masks = [("overall", np.ones(len(scores), dtype=bool)),
+             ("trip-1", trips == 1), ("trip-2", trips == 2),
+             ("red", colours == "red"), ("green", colours == "green"),
+             ("mixed", colours == "mixed")]
+    out = []
+    for tag, mask in masks:
+        ll = labels[mask]
+        if (ll == 1).any() and (ll == 0).any():
+            curve = pr_curve(scores[mask], ll)
+            out.append((tag, auc(curve), curve, int((ll == 1).sum()),
+                        int((ll == 0).sum())))
+    return out
+
+
+def assert_reports_equal(reports, expected):
+    assert [r.slice_tag for r in reports] == [e[0] for e in expected]
+    for r, (_tag, area, curve, positives, negatives) in zip(reports,
+                                                            expected):
+        assert r.auc == area
+        assert np.array_equal(r.curve.recall, curve.recall)
+        assert np.array_equal(r.curve.precision, curve.precision)
+        assert np.array_equal(r.curve.thresholds, curve.thresholds)
+        assert (r.positives, r.negatives) == (positives, negatives)
+
+
+MIXED_SCENES = [("red", 1, 10, None), ("green", 2, 11, None),
+                ("mixed", 1, 12, None), ("green", 1, 13, None),
+                ("red", 2, 14, None), ("mixed", 2, 15, None)]
+
+
+@pytest.fixture(scope="module")
+def mixed_model(tmp_path_factory):
+    cfg = tiny_config()
+    base = tmp_path_factory.mktemp("mixed")
+    train_m = scene_dataset(base / "train", [("red", 1, 0, None),
+                                             ("green", 2, 1, None),
+                                             ("mixed", 1, 2, None)])
+    return cfg, trained_model(train_m, cfg), base
+
+
+class TestEvaluateSlices:
+    def test_every_slice_equals_reference(self, mixed_model):
+        cfg, model, base = mixed_model
+        test_m = scene_dataset(base / "test", MIXED_SCENES)
+        reports = evaluate(model, test_m, cfg)
+        assert [r.slice_tag for r in reports] == [
+            "overall", "trip-1", "trip-2", "red", "green", "mixed"]
+        assert_reports_equal(reports, reference_reports(model, test_m, cfg))
+
+    def test_unlabelled_scene_skipped_with_warning(self, mixed_model,
+                                                   caplog):
+        cfg, model, base = mixed_model
+        scenes = MIXED_SCENES[:3] + [("red", 2, 16, -1)]
+        test_m = scene_dataset(base / "unlabelled", scenes)
+        with caplog.at_level(logging.WARNING):
+            reports = evaluate(model, test_m, cfg)
+        assert any("s3.cloud has no labelled points, skipping" in rec.message
+                   for rec in caplog.records)
+        expected = reference_reports(model, test_m, cfg)
+        assert_reports_equal(reports, expected)
+        # the unlabelled trip-2 red scene adds nothing to any slice
+        without = DatasetManifest(test_m.entries[:3], base_dir=test_m.base_dir)
+        assert_reports_equal(reports, reference_reports(model, without, cfg))
+        assert [r.slice_tag for r in reports] == [
+            "overall", "trip-1", "trip-2", "red", "green", "mixed"]
+
+    def test_single_class_slice_skipped(self, mixed_model):
+        cfg, model, base = mixed_model
+        # every point of the green scenes is body: the green slice is
+        # single-class and left out, the rest keep their reference values
+        scenes = [("red", 1, 20, None), ("green", 2, 21, 0),
+                  ("green", 1, 22, 0), ("mixed", 2, 23, None)]
+        test_m = scene_dataset(base / "one-class", scenes)
+        reports = evaluate(model, test_m, cfg)
+        assert [r.slice_tag for r in reports] == [
+            "overall", "trip-1", "trip-2", "red", "mixed"]
+        assert_reports_equal(reports, reference_reports(model, test_m, cfg))
+
+    def test_no_labelled_points_raises(self, mixed_model):
+        cfg, model, base = mixed_model
+        test_m = scene_dataset(base / "none", [("red", 1, 30, -1),
+                                               ("green", 2, 31, -1)])
+        with pytest.raises(EvaluationError,
+                           match="no labelled points in any scene"):
+            evaluate(model, test_m, cfg)
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import pytest
 from peduncleseg import (NormalParams, PointCloud, SpatialIndex, build_index,
                          estimate_normals)
 
-from conftest import random_cloud
+from clouds import random_cloud
 
 
 def cloud_from(xyz):

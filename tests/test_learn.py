@@ -569,6 +569,7 @@ class TestModelFile:
         lambda d: d.update(kernel="poly"),
         lambda d: d.update(dual_coefs=d["dual_coefs"][:-1]),
         lambda d: d["scaling"].pop("std"),
+        lambda d: d["meta"].update(feature_set="bogus"),
     ])
     def test_schema_violations_rejected(self, rng, tmp_path, mutate):
         x = rng.normal(size=(10, 2))

@@ -4,7 +4,7 @@ import pytest
 from peduncleseg import (OutlierParams, PointCloud, VoxelParams,
                          remove_statistical_outliers, voxel_downsample)
 
-from conftest import random_cloud
+from clouds import random_cloud
 
 
 def make_cloud(xyz, labels=None, rgb=None):
