@@ -20,9 +20,9 @@ from .cloud_io import (CloudFormatError, ManifestError, ManifestEntry,
 from .config import ConfigError, PipelineConfig, load_pipeline_config
 from .evaluation import (EvaluationError, SplitSpec, evaluate, split_dataset,
                          sweep, write_curve_csv, write_report_json)
-from .features import select_features
 from .learn import (KernelSpec, ModelFormatError, TrainConfig, TrainingError,
-                    load_model, predict_parallel, save_model, train_svm)
+                    load_model, model_features, predict_parallel, save_model,
+                    train_svm)
 from .pipeline import assemble_training_matrix, scene_features
 from .synth import SceneSpecError, generate_scene, load_scene_request, \
     scene_for_colour
@@ -65,7 +65,8 @@ def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
     status = "converged" if model.meta["converged"] \
         else "not converged (stopped at max_passes)"
     print(f"trained on {model.meta['train_rows']} rows in {elapsed:.1f}s; "
-          f"SMO {status} after {model.meta['iterations']} iterations; "
+          f"SMO {status} after {model.meta['iterations']} iterations "
+          f"({model.meta['kernel_rows']} kernel rows computed); "
           f"{model.support_count} support vectors -> {model_out}")
     return EXIT_OK
 
@@ -75,9 +76,8 @@ def cmd_predict(config: PipelineConfig, model_path, cloud_path, out_path,
     model = load_model(model_path)
     cloud = read_cloud(cloud_path)
     processed, features = scene_features(cloud, config)
-    subset = model.meta.get("feature_set", "full")
-    rows = select_features(features, subset)
-    labels, scores, elapsed = predict_parallel(model, rows, workers)
+    labels, scores, elapsed = predict_parallel(
+        model, model_features(model, features), workers)
     write_cloud(processed.with_labels(labels), out_path)
     scores_path = os.path.splitext(out_path)[0] + "_scores.csv"
     with open(scores_path, "w", encoding="ascii", newline="\n") as fh:

@@ -10,7 +10,8 @@ import numpy as np
 
 from .cloud_io import DatasetManifest
 from .features import select_features
-from .learn import SvmModel, TrainConfig, TrainingError, decision_scores, train_svm
+from .learn import (SvmModel, TrainConfig, TrainingError, decision_scores,
+                    model_features, train_svm)
 from .pipeline import (assemble_training_matrix, manifest_scene_features,
                        pooled_features)
 
@@ -148,10 +149,9 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
     holds the labelled points of the scenes whose manifest entry matches it.
     A slice whose pooled points are single-class is skipped with a warning.
     """
-    feature_set = model.meta.get("feature_set", "full")
     scenes = []   # (entry, scores, labels) of each scene with labelled points
     for entry, fm in manifest_scene_features(test, pipeline):
-        fm = select_features(fm, feature_set)
+        fm = model_features(model, fm)
         keep = fm.labels >= 0
         if not keep.any():
             log.warning("scene %s has no labelled points, skipping", entry.path)

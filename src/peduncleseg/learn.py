@@ -12,12 +12,13 @@ import json
 import logging
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, select_features
 
 log = logging.getLogger(__name__)
 
@@ -27,8 +28,11 @@ MODEL_SCHEMA_VERSION = 1
 
 # dual coefficients at most this far from zero are pruned from the model
 SV_EPS = 1e-12
-# rows per block when _gram fills and mirrors the kernel matrix
-_GRAM_BLOCK = 256
+# byte budget of the SMO kernel-row cache
+_ROW_CACHE_BYTES = 256 * 2**20
+# kernel point sets get zero rows up to a multiple of this, so OpenBLAS runs
+# every entry of P @ x through the same gemv code, whatever its thread count
+_ROW_PAD = 8
 
 
 class TrainingError(RuntimeError):
@@ -102,34 +106,24 @@ class SvmModel:
         return len(self.dual_coefs)
 
 
-def _gram(x, kernel):
-    """Kernel matrix of the rows of x, one n x n array, exactly symmetric.
+def _kernel_points(x):
+    """Rows of x padded with zero rows to a multiple of _ROW_PAD, and the
+    squared norms of the padded rows: the point set P of _kernel_row."""
+    points = np.pad(x, ((0, -len(x) % _ROW_PAD), (0, 0)))
+    return points, np.einsum("ij,ij->i", points, points)
 
-    Row block by row block, the upper triangle (diagonal included) is turned
-    into kernel values and mirrored onto the lower triangle, so K[i, j] and
-    K[j, i] are the same number whatever the BLAS returns for x @ x.T.  RBF
-    distances keep the operation order (|x_i|^2 + |x_j|^2) - 2 x_i.x_j.
-    Beyond the matrix, temporaries stay O(_GRAM_BLOCK * n).
+
+def _kernel_row(points, sq, x, sq_x, kernel, out):
+    """K(x, P) into out, one entry per row of P: g = P @ x, then g itself
+    (linear) or exp(-gamma * max(sq_P + |x|^2 - 2 g, 0)) (rbf).
+
+    One gemv per row, so an entry's bits depend only on x and its row of P,
+    never on other rows scored with x; with x a row of P, K is symmetric.
     """
-    k = x @ x.T
-    n = len(k)
-    sq = np.einsum("ij,ij->i", x, x) if kernel.kind == "rbf" else None
-    for a in range(0, n, _GRAM_BLOCK):
-        b = min(a + _GRAM_BLOCK, n)
-        if sq is not None:
-            d2 = np.maximum(sq[a:b, None] + sq[None, a:] - 2.0 * k[a:b, a:],
-                            0.0)
-            k[a:b, a:] = np.exp(-kernel.gamma * d2)
-        diag = k[a:b, a:b]
-        lower = np.tril_indices(b - a, -1)
-        diag[lower] = diag.T[lower]
-        k[b:, a:b] = k[a:b, b:].T
-    return k
-
-
-def _physical_memory_bytes():
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    np.dot(points, x, out=out)
+    if kernel.kind == "rbf":
+        np.exp(-kernel.gamma * np.maximum(sq + sq_x - 2.0 * out, 0.0), out=out)
+    return out
 
 
 def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
@@ -140,16 +134,17 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     duality-gap proxy m(a) - M(a) drops to config.tolerance or after
     max_passes * n iterations, logging a warning in the latter case.
 
-    The trainer holds K, not Q: one exactly symmetric n x n float64 matrix,
-    8 n^2 bytes (128 MB at the default max_train_rows of 4000), read by rows.
-    A row count whose matrix would exceed physical memory is refused with
-    TrainingError, so cap the row count upstream for large pools.  Instead
-    of the gradient g it keeps -y * g in two masked buffers: up_vals holds
-    it on I_up and -inf elsewhere, low_vals on I_low and +inf elsewhere, so
-    the working pair is argmax(up_vals), argmin(low_vals).  Each iteration
-    adds K[i] (-y_i da_i) + K[j] (-y_j da_j) to both buffers in place (the
-    infinities stay) and re-masks only entries i and j.  Multiplying by +-1
-    is exact, so every value equals the one a loop over Q and g computes.
+    The trainer reads rows of K, not Q.  Row t is computed by _kernel_row on
+    first use and kept in an LRU cache, one lazily touched (slots, n) float64
+    array with slots = min(n, max(2, _ROW_CACHE_BYTES // 8n)): memory stays
+    O(_ROW_CACHE_BYTES + n d) at any n, and meta["kernel_rows"] counts the
+    rows computed, recomputations after eviction included.  Instead of g it
+    keeps -y * g in two masked buffers: up_vals holds it on I_up and -inf
+    elsewhere, low_vals on I_low and +inf elsewhere, so the working pair is
+    argmax(up_vals), argmin(low_vals).  Each iteration adds K[i] (-y_i da_i)
+    + K[j] (-y_j da_j) to both buffers in place (the infinities stay) and
+    re-masks only entries i and j.  Multiplying by +-1 is exact, so every
+    value equals the one a loop over Q and g computes.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -167,20 +162,28 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     if npos == 0 or npos == n:
         raise TrainingError(
             "training data holds a single class; need both pepper and peduncle rows")
-    matrix_bytes = 8 * n * n
-    memory = _physical_memory_bytes()
-    if matrix_bytes > memory:
-        raise TrainingError(
-            f"SMO on {n} rows needs an n x n float64 kernel matrix of "
-            f"{matrix_bytes} bytes, more than the {memory} bytes of physical "
-            f"memory; lower max_train_rows")
-
     scaling = ScalingStats(x.mean(axis=0), x.std(axis=0))
     xs = scaling.apply(x)
 
     c = float(config.c)
     tol = float(config.tolerance)
-    k = _gram(xs, config.kernel)
+    points, sq = _kernel_points(xs)
+    slots = min(n, max(2, _ROW_CACHE_BYTES // (8 * len(points))))
+    cache = np.empty((slots, len(points)))
+    slot_of = OrderedDict()   # row -> cache slot, least recently used first
+    kernel_rows = 0
+
+    def kernel_row(t):
+        nonlocal kernel_rows
+        slot = slot_of.pop(t, None)
+        if slot is None:
+            slot = len(slot_of) if len(slot_of) < slots \
+                else slot_of.popitem(last=False)[1]
+            _kernel_row(points, sq, points[t], sq[t], config.kernel,
+                        cache[slot])
+            kernel_rows += 1
+        slot_of[t] = slot
+        return cache[slot, :n]
 
     alpha = np.zeros(n)
     # -y * g at alpha = 0 (g = -1), masked to I_up / I_low; every row is in
@@ -205,7 +208,9 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
         yi, yj = y[i], y[j]
         gi, gj = -yi * m_up, -yj * m_low
-        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        ki = kernel_row(i)
+        kj = kernel_row(j)   # slots >= 2, so fetching row j keeps row i
+        quad = ki[i] + kj[j] - 2.0 * ki[j]
         if quad <= 0.0:
             quad = tau
         ai_old, aj_old = alpha[i], alpha[j]
@@ -215,43 +220,31 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             ai, aj = ai_old + delta, aj_old + delta
             if diff > 0:
                 if aj < 0:
-                    aj = 0.0
-                    ai = diff
+                    aj, ai = 0.0, diff
+                if ai > c:
+                    ai, aj = c, c - diff
             else:
                 if ai < 0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > 0:
-                if ai > c:
-                    ai = c
-                    aj = c - diff
-            else:
+                    ai, aj = 0.0, -diff
                 if aj > c:
-                    aj = c
-                    ai = c + diff
+                    aj, ai = c, c + diff
         else:
             delta = (gi - gj) / quad
             total = ai_old + aj_old
             ai, aj = ai_old - delta, aj_old + delta
             if total > c:
                 if ai > c:
-                    ai = c
-                    aj = total - c
+                    ai, aj = c, total - c
+                if aj > c:
+                    aj, ai = c, total - c
             else:
                 if aj < 0:
-                    aj = 0.0
-                    ai = total
-            if total > c:
-                if aj > c:
-                    aj = c
-                    ai = total - c
-            else:
+                    aj, ai = 0.0, total
                 if ai < 0:
-                    ai = 0.0
-                    aj = total
+                    ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        np.multiply(k[i], -yi * (ai - ai_old), out=step)
-        np.multiply(k[j], -yj * (aj - aj_old), out=step_j)
+        np.multiply(ki, -yi * (ai - ai_old), out=step)
+        np.multiply(kj, -yj * (aj - aj_old), out=step_j)
         step += step_j
         up_vals += step
         low_vals += step
@@ -263,9 +256,9 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             low_vals[t] = v if in_low else np.inf
         it += 1
     if not converged:
-        log.warning("SMO stopped at max_passes=%d after %d iterations on %d "
-                    "rows without reaching tolerance %g",
-                    config.max_passes, it, n, tol)
+        log.warning("SMO stopped at max_passes=%d after %d iterations "
+                    "(%d kernel rows computed) on %d rows without reaching "
+                    "tolerance %g", config.max_passes, it, kernel_rows, n, tol)
 
     up = up_vals > -np.inf
     low = low_vals < np.inf
@@ -283,7 +276,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
     objective = float(0.5 * (alpha.sum() - alpha @ grad))
     sv = np.flatnonzero(alpha > SV_EPS)
-    model = SvmModel(
+    return SvmModel(
         kernel=config.kernel,
         c=c,
         scaling=scaling,
@@ -296,6 +289,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             "max_passes": config.max_passes,
             "seed": config.seed,
             "iterations": it,
+            "kernel_rows": kernel_rows,
             "converged": bool(converged),
             "dual_objective": objective,
             "support_count": int(sv.size),
@@ -303,7 +297,6 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             "positive_rows": npos,
         },
     )
-    return model
 
 
 def decision_scores(model: SvmModel, features) -> np.ndarray:
@@ -314,23 +307,28 @@ def decision_scores(model: SvmModel, features) -> np.ndarray:
         raise ValueError(
             f"feature rows have dimension {rows.shape[-1] if rows.ndim else '?'}, "
             f"model expects {model.support_vectors.shape[1]}")
-    # float64 and C-contiguous, so BLAS sees the same layouts for every caller
-    xs = np.ascontiguousarray(model.scaling.apply(rows), dtype=np.float64)
-    sv = np.ascontiguousarray(model.support_vectors, dtype=np.float64)
-    coef = np.ascontiguousarray(model.dual_coefs, dtype=np.float64)
-    bias = float(model.bias)
-    linear = model.kernel.kind == "linear"
-    gamma = 0.0 if linear else float(model.kernel.gamma)
+    xs = np.ascontiguousarray(model.scaling.apply(rows))
+    sq_x = np.einsum("ij,ij->i", xs, xs)
+    points, sq = _kernel_points(model.support_vectors)
+    kv = np.empty(len(points))
     scores = np.empty(len(xs))
     # row at a time, so a row's score cannot depend on how callers chunk rows
     for r in range(len(xs)):
-        if linear:
-            kv = sv @ xs[r]
-        else:
-            diff = sv - xs[r]
-            kv = np.exp(-gamma * (diff * diff).sum(axis=1))
-        scores[r] = coef @ kv + bias
+        _kernel_row(points, sq, xs[r], sq_x[r], model.kernel, kv)
+        scores[r] = model.dual_coefs @ kv[:model.support_count] + model.bias
     return scores
+
+
+def model_features(model: SvmModel, features: FeatureMatrix) -> FeatureMatrix:
+    """The columns of features named by model.meta's feature_set; raises
+    ModelFormatError when their width is not the model's vector width."""
+    subset = model.meta.get("feature_set", "full")
+    rows = select_features(features, subset)
+    got, width = rows.values.shape[1], model.support_vectors.shape[1]
+    if got != width:
+        raise ModelFormatError(f"model meta names feature set {subset!r} of "
+                               f"{got} columns, but its vectors have {width}")
+    return rows
 
 
 def predict_parallel(model: SvmModel, features, workers: int = 1):

@@ -7,7 +7,7 @@ import pytest
 
 from peduncleseg import (ConfigError, KernelSpec, NormalParams,
                          OutlierParams, PipelineConfig, TrainConfig,
-                         VoxelParams, cli, learn, load_pipeline_config,
+                         VoxelParams, cli, load_pipeline_config,
                          read_cloud, read_manifest)
 
 CONFIG_INI = """\
@@ -55,11 +55,12 @@ def workdir(tmp_path_factory):
             "model": str(model)}
 
 
-def bogus_feature_set_model(workdir, tmp_path):
-    """Copy of the trained model whose meta names an unknown feature set."""
+def bogus_feature_set_model(workdir, tmp_path, feature_set="bogus"):
+    """Copy of the trained 36-column model whose meta names another feature
+    set: an unknown one by default."""
     doc = json.loads((workdir["base"] / "model.json").read_text())
-    doc["meta"]["feature_set"] = "bogus"
-    path = tmp_path / "bogus.json"
+    doc["meta"]["feature_set"] = feature_set
+    path = tmp_path / f"{feature_set}.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -255,16 +256,6 @@ class TestTrain:
         assert rc == 4
         assert "single class" in capsys.readouterr().err
 
-    def test_matrix_beyond_memory_exit_4(self, tmp_path, workdir, capsys,
-                                         monkeypatch):
-        monkeypatch.setattr(learn, "_physical_memory_bytes", lambda: 1)
-        model = tmp_path / "model.json"
-        rc = cli.main(["--config", workdir["cfg"], "train",
-                       workdir["manifest"], str(model)])
-        assert rc == 4
-        assert "max_train_rows" in capsys.readouterr().err
-        assert not model.exists()
-
     @pytest.mark.parametrize("train, status", [
         ("max_passes = 1\ntolerance = 1e-12",
          "SMO not converged (stopped at max_passes)"),
@@ -281,7 +272,8 @@ class TestTrain:
         assert rc == 0
         meta = json.loads(model.read_text())["meta"]
         assert meta["converged"] is ("not" not in status)
-        assert f"{status} after {meta['iterations']} iterations" in \
+        assert f"{status} after {meta['iterations']} iterations " \
+            f"({meta['kernel_rows']} kernel rows computed)" in \
             capsys.readouterr().out
 
 
@@ -334,6 +326,17 @@ class TestPredict:
         assert rc == 4
         assert "bogus" in capsys.readouterr().err
 
+    def test_feature_set_width_mismatch_exit_4(self, workdir, tmp_path,
+                                               capsys):
+        hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
+        out = tmp_path / "out.cloud"
+        rc = cli.main(["--config", workdir["cfg"], "predict", str(hsv),
+                       str(workdir["data"] / "scene-000.cloud"), str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "'hsv' of 3 columns" in err and "vectors have 36" in err
+        assert not out.exists()
+
     def test_missing_cloud_exit_3(self, workdir, tmp_path):
         rc = cli.main(["--config", workdir["cfg"], "predict",
                        workdir["model"], str(tmp_path / "nope.cloud"),
@@ -365,6 +368,17 @@ class TestEvaluate:
                        workdir["manifest"], str(tmp_path / "reports")])
         assert rc == 4
         assert "bogus" in capsys.readouterr().err
+
+    def test_feature_set_width_mismatch_exit_4(self, workdir, tmp_path,
+                                               capsys):
+        hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
+        reports = tmp_path / "reports"
+        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(hsv),
+                       workdir["manifest"], str(reports)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "'hsv' of 3 columns" in err and "vectors have 36" in err
+        assert not reports.exists()
 
     def test_no_labelled_points_exit_4(self, workdir, tmp_path, capsys):
         from peduncleseg import write_cloud

@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +13,7 @@ from peduncleseg import (FeatureMatrix, KernelSpec, ModelFormatError,
                          TrainConfig, TrainingError, decision_scores,
                          load_model, predict_parallel, save_model, train_svm)
 from peduncleseg import learn
-from peduncleseg.learn import SV_EPS, _GRAM_BLOCK, _gram
+from peduncleseg.learn import SV_EPS, _kernel_points, _kernel_row
 
 
 def matrix(values, labels):
@@ -68,12 +71,21 @@ def qp_oracle(k_mat, y, c, iters=30000):
 
 
 def gram(x, kernel):
-    """Kernel matrix in one whole-matrix expression; the reference for _gram."""
+    """Kernel matrix in one whole-matrix expression; the reference for the
+    rows of _kernel_row."""
     if kernel.kind == "linear":
         return x @ x.T
     sq = np.einsum("ij,ij->i", x, x)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     return np.exp(-kernel.gamma * d2)
+
+
+def stacked_rows(x, kernel):
+    """Kernel matrix of the rows of x, stacked from _kernel_row's rows."""
+    points, sq = _kernel_points(x)
+    return np.stack([_kernel_row(points, sq, points[t], sq[t], kernel,
+                                 np.empty(len(points)))[:len(x)]
+                     for t in range(len(x))])
 
 
 def sv_rows(model, xs):
@@ -143,13 +155,13 @@ class TestSmoAgainstQpOracle:
 # ---------------------------------------------------------------------------
 # reference trainer: the SMO loop as train_svm ran it before reading Q by
 # rows -- strided column reads, I_up / I_low rebuilt from alpha every
-# iteration, K and Q both held, the gradient itself kept.  train_svm must
-# reproduce it bit for bit.  It also counts swaps: rows that an update moved
+# iteration, K (stacked from _kernel_row's rows) and Q both held, the
+# gradient itself kept.  train_svm must reproduce it bit for bit.  It also counts swaps: rows that an update moved
 # from one index set to the other, out of the first and into the second.
 # ---------------------------------------------------------------------------
 
 def reference_smo(xs, y, kernel, c, tol, max_passes):
-    k = _gram(xs, kernel)
+    k = stacked_rows(xs, kernel)
     q = (y[:, None] * k) * y[None, :]
     n = len(y)
     alpha = np.zeros(n)
@@ -262,11 +274,12 @@ def assert_matches_reference(x, labels, config):
 
 
 class TestSmoAgainstReferenceLoop:
-    # n is never a multiple of the mirror block, and spans several blocks
+    # n is never a multiple of the row pad; the reference reads columns of
+    # K, so a K that is not exactly symmetric fails here
     @pytest.mark.parametrize("kernel, n, c, max_passes, converges", [
-        (KernelSpec("linear", None), 2 * _GRAM_BLOCK + 45, 1.0, 50, True),
-        (KernelSpec("rbf", 0.2), _GRAM_BLOCK + 101, 10.0, 50, True),
-        (KernelSpec("rbf", 0.05), 2 * _GRAM_BLOCK + 3, 100.0, 1, False),
+        (KernelSpec("linear", None), 557, 1.0, 50, True),
+        (KernelSpec("rbf", 0.2), 357, 10.0, 50, True),
+        (KernelSpec("rbf", 0.05), 515, 100.0, 1, False),
     ])
     def test_bit_identical(self, rng, kernel, n, c, max_passes, converges):
         x = rng.normal(size=(n, 5))
@@ -276,6 +289,19 @@ class TestSmoAgainstReferenceLoop:
         _alpha, converged, _swaps = assert_matches_reference(x, labels,
                                                              config)
         assert converged is converges
+
+    # as wide as the full descriptor, where an unpadded gemv rounds the
+    # last n % 4 entries of a row apart from the others
+    @pytest.mark.parametrize("kernel, c", [(KernelSpec("linear", None), 0.1),
+                                           (KernelSpec("rbf", 0.02), 10.0)])
+    def test_bit_identical_36_columns(self, rng, kernel, c):
+        x = rng.normal(size=(501, 36))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=501) > 0).astype(np.int8)
+        config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
+                             max_passes=50)
+        _alpha, converged, _swaps = assert_matches_reference(x, labels,
+                                                             config)
+        assert converged
 
     # small C: duals jump from 0 straight to C, so rows swap index sets.
     # With the linear problem every reference dual ends at 0 or C, so the
@@ -298,36 +324,34 @@ class TestSmoAgainstReferenceLoop:
         assert bool(free.any()) is not fallback
 
 
-class LowerOff(np.ndarray):
-    """Rows whose product x @ x.T is rounded apart below the diagonal, as a
-    general matrix product may return it."""
-
-    def __matmul__(self, other):
-        prod = np.asarray(self) @ np.asarray(other)
-        prod[np.tril_indices(len(prod), -1)] *= 1.0 + 1e-12
-        return prod
-
-
 class TestGram:
+    """The rows of _kernel_row, stacked into K."""
     kernels = [KernelSpec("linear", None), KernelSpec("rbf", 0.3)]
 
     @pytest.mark.parametrize("kernel", kernels)
-    @pytest.mark.parametrize("n", [1, 7, 2 * _GRAM_BLOCK + 13])
+    @pytest.mark.parametrize("n", [1, 7, 525])
     def test_exactly_symmetric(self, rng, kernel, n):
         x = rng.normal(size=(n, 9))
-        k = _gram(x, kernel)
+        k = stacked_rows(x, kernel)
         assert k.shape == (n, n)
         assert np.array_equal(k, k.T)
-        # the upper triangle is the whole-matrix expression, value for value
-        iu = np.triu_indices(n)
-        assert np.array_equal(k[iu], gram(x, kernel)[iu])
+        # the whole-matrix expression, to rounding
+        ref = gram(x, kernel)
+        np.testing.assert_allclose(k, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
+    # every entry goes through the same gemv code, so K is exactly symmetric
+    # at any n, although OpenBLAS rounds an unpadded row's last n % 4
+    # entries apart from the others at this width
     @pytest.mark.parametrize("kernel", kernels)
     def test_symmetric_whatever_the_product(self, rng, kernel):
-        x = rng.normal(size=(2 * _GRAM_BLOCK + 13, 9))
-        k = _gram(x.view(LowerOff), kernel)
-        assert np.array_equal(k, k.T)
-        assert np.array_equal(k, _gram(x, kernel))
+        for n in (1001, 1002, 1003, 1004, 1005):
+            x = rng.normal(size=(n, 36))
+            k = stacked_rows(x, kernel)
+            assert np.array_equal(k, k.T), n
+            ref = gram(x, kernel)
+            np.testing.assert_allclose(k, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("kernel", kernels)
     def test_training_holds_one_matrix(self, kernel):
@@ -343,9 +367,127 @@ class TestGram:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one n x n float64 matrix plus O(block * n); K and Q side by side
-        # would already be 2 n^2 * 8 bytes
+        # at the default budget the row cache is one n x n float64 matrix
+        # plus O(n d); K and Q side by side would already be 2 n^2 * 8 bytes
         assert peak < 2 * n * n * 8
+
+    def test_padding_rows_are_zero(self, rng):
+        x = rng.normal(size=(13, 4))
+        points, sq = _kernel_points(x)
+        assert len(points) % learn._ROW_PAD == 0 and len(points) >= 13
+        assert np.array_equal(points[:13], x)
+        assert not points[13:].any() and not sq[13:].any()
+
+    @pytest.mark.parametrize("kernel", kernels)
+    def test_score_bits_independent_of_companion_rows(self, rng, kernel):
+        x = rng.normal(size=(600, 36))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=600) > 0).astype(np.int8)
+        model = train_svm(matrix(x, labels),
+                          TrainConfig(kernel=kernel, c=1.0, max_passes=2))
+        queries = rng.normal(size=(300, 36))
+        full = decision_scores(model, queries)
+        for pick in ([5, 9, 100], [299], list(range(256)), [100, 5]):
+            assert np.array_equal(decision_scores(model, queries[pick]),
+                                  full[pick])
+
+
+class TestRowCache:
+    n, d = 2001, 8
+
+    def problem(self, kernel):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(self.n, self.d))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=self.n) > 0)
+        config = TrainConfig(kernel=kernel, c=1.0, max_passes=1)
+        return matrix(x, labels.astype(np.int8)), config
+
+    @pytest.mark.parametrize("kernel", TestGram.kernels)
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_small_budget_same_model_bounded_memory(self, kernel, rows,
+                                                    monkeypatch):
+        fm, config = self.problem(kernel)
+        roomy = train_svm(fm, config)
+        assert roomy.meta["kernel_rows"] <= self.n
+        row_bytes = 8 * len(_kernel_points(fm.values)[0])
+        budget = rows * row_bytes + row_bytes // 2
+        assert 8 * self.n ** 2 > budget
+        monkeypatch.setattr(learn, "_ROW_CACHE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            tight = train_svm(fm, config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tight.support_vectors, roomy.support_vectors)
+        assert np.array_equal(tight.dual_coefs, roomy.dual_coefs)
+        assert tight.bias == roomy.bias
+        assert {k: v for k, v in tight.meta.items() if k != "kernel_rows"} \
+            == {k: v for k, v in roomy.meta.items() if k != "kernel_rows"}
+        # evicted rows are computed again
+        assert tight.meta["kernel_rows"] > roomy.meta["kernel_rows"]
+        assert peak <= budget + 8 * self.n * (4 * self.d + 32)
+
+    def test_budget_below_two_rows_keeps_two(self, monkeypatch):
+        fm, config = self.problem(KernelSpec("rbf", 0.3))
+        roomy = train_svm(fm, config)
+        monkeypatch.setattr(learn, "_ROW_CACHE_BYTES", 1)
+        tight = train_svm(fm, config)
+        assert np.array_equal(tight.dual_coefs, roomy.dual_coefs)
+        assert tight.bias == roomy.bias
+
+    def test_kernel_rows_counts_computed_rows(self, monkeypatch):
+        fm, config = self.problem(KernelSpec("rbf", 0.3))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _kernel_row(*args)
+
+        monkeypatch.setattr(learn, "_kernel_row", counted)
+        model = train_svm(fm, config)
+        assert model.meta["kernel_rows"] == len(calls) > 0
+        # each iteration reads two rows, and most are cache hits
+        assert len(calls) < 2 * model.meta["iterations"]
+
+
+# Trains and scores one problem and prints SHA-256 digests of the model
+# file and of the score bytes.
+_THREADS_CHILD = """
+import hashlib, sys, tempfile, os
+import numpy as np
+from peduncleseg import (FeatureMatrix, KernelSpec, TrainConfig,
+                         decision_scores, save_model, train_svm)
+n, d = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(d)
+x = rng.normal(size=(n, d))
+labels = (x[:, 0] + np.sin(3 * x[:, 1]) + rng.normal(size=n) > 0)
+fm = FeatureMatrix(x, labels.astype(np.int8), np.ones(n, dtype=bool))
+model = train_svm(fm, TrainConfig(kernel=KernelSpec("rbf", 0.5), c=100.0,
+                                  max_passes=1))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.json")
+    save_model(model, path)
+    with open(path, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+scores = decision_scores(model, x + rng.normal(scale=0.1, size=x.shape))
+print(hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("d", [3, 36])
+    def test_model_and_scores_same_bits_at_1_and_2_threads(self, d):
+        src = os.path.dirname(os.path.dirname(learn.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _THREADS_CHILD, "4500", str(d)],
+                env=env, capture_output=True, text=True, check=True)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 class TestMaxPassesReport:
@@ -361,6 +503,7 @@ class TestMaxPassesReport:
         assert len(warnings) == 1
         message = warnings[0].getMessage()
         assert "max_passes=1" in message and "40 iterations" in message
+        assert f"({model.meta['kernel_rows']} kernel rows computed)" in message
 
     def test_silent_when_converged(self, rng, caplog):
         fm, config = random_problem(rng, n=20)
@@ -444,20 +587,6 @@ class TestTrainingValidation:
         fm = matrix(values, [0, 1] * 4)
         with pytest.raises(TrainingError):
             train_svm(fm, TrainConfig())
-
-    def test_matrix_beyond_physical_memory_rejected(self, rng, monkeypatch):
-        n = 12
-        fm = matrix(rng.normal(size=(n, 3)), [0, 1] * 6)
-        monkeypatch.setattr(learn, "_physical_memory_bytes",
-                            lambda: 8 * n * n - 1)
-        with pytest.raises(TrainingError) as exc:
-            train_svm(fm, TrainConfig())
-        message = str(exc.value)
-        assert f"{n} rows" in message and f"{8 * n * n} bytes" in message
-        assert "max_train_rows" in message
-        # a matrix that exactly fits trains
-        monkeypatch.setattr(learn, "_physical_memory_bytes", lambda: 8 * n * n)
-        assert train_svm(fm, TrainConfig()).meta["train_rows"] == n
 
     def test_constant_columns_handled(self, rng):
         values = rng.normal(size=(12, 3))
