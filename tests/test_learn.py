@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -160,7 +161,8 @@ class TestSmoAgainstQpOracle:
 # from one index set to the other, out of the first and into the second.
 # ---------------------------------------------------------------------------
 
-def reference_smo(xs, y, kernel, c, tol, max_passes):
+def reference_smo(xs, y, kernel, c, tol, max_passes, pairs=None):
+    """pairs, when given, gets each iteration's working pair (i, j)."""
     k = stacked_rows(xs, kernel)
     q = (y[:, None] * k) * y[None, :]
     n = len(y)
@@ -189,6 +191,8 @@ def reference_smo(xs, y, kernel, c, tol, max_passes):
         if up_vals[i] - low_vals[j] <= tol:
             converged = True
             break
+        if pairs is not None:
+            pairs.append((i, j))
 
         quad = q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j]
         if quad <= 0.0:
@@ -371,13 +375,6 @@ class TestGram:
         # plus O(n d); K and Q side by side would already be 2 n^2 * 8 bytes
         assert peak < 2 * n * n * 8
 
-    def test_padding_rows_are_zero(self, rng):
-        x = rng.normal(size=(13, 4))
-        points, sq = _kernel_points(x)
-        assert len(points) % learn._ROW_PAD == 0 and len(points) >= 13
-        assert np.array_equal(points[:13], x)
-        assert not points[13:].any() and not sq[13:].any()
-
     @pytest.mark.parametrize("kernel", kernels)
     def test_score_bits_independent_of_companion_rows(self, rng, kernel):
         x = rng.normal(size=(600, 36))
@@ -435,19 +432,31 @@ class TestRowCache:
         assert np.array_equal(tight.dual_coefs, roomy.dual_coefs)
         assert tight.bias == roomy.bias
 
-    def test_kernel_rows_counts_computed_rows(self, monkeypatch):
-        fm, config = self.problem(KernelSpec("rbf", 0.3))
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _kernel_row(*args)
-
-        monkeypatch.setattr(learn, "_kernel_row", counted)
-        model = train_svm(fm, config)
-        assert model.meta["kernel_rows"] == len(calls) > 0
-        # each iteration reads two rows, and most are cache hits
-        assert len(calls) < 2 * model.meta["iterations"]
+    def test_evicts_least_recently_used_row(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(400, 5))
+        labels = (x[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(np.int8)
+        config = TrainConfig(kernel=KernelSpec("rbf", 0.3), c=1.0,
+                             max_passes=1)
+        row_bytes = 8 * len(_kernel_points(x)[0])
+        monkeypatch.setattr(learn, "_ROW_CACHE_BYTES", 3 * row_bytes)
+        model = train_svm(matrix(x, labels), config)
+        # the rows SMO reads, in order: each iteration's i, then its j
+        pairs = []
+        reference_smo(model.scaling.apply(x),
+                      np.where(labels == 1, 1.0, -1.0), config.kernel,
+                      config.c, config.tolerance, config.max_passes, pairs)
+        assert len(pairs) == model.meta["iterations"]
+        cached, misses = OrderedDict(), 0
+        for t in [t for pair in pairs for t in pair]:
+            if t in cached:
+                cached.move_to_end(t)
+                continue
+            misses += 1
+            if len(cached) == 3:
+                cached.popitem(last=False)
+            cached[t] = None
+        assert model.meta["kernel_rows"] == misses
 
 
 # Trains and scores one problem and prints SHA-256 digests of the model
