@@ -13,8 +13,7 @@ from .config import ConfigError, PipelineConfig, load_pipeline_config
 from .evaluation import (EvalReport, EvaluationError, PrCurve, SplitSpec,
                          SweepResult, auc, evaluate, pr_curve, split_dataset,
                          sweep)
-from .features import (DarbouxQuadruplet, DegeneratePairError, FeatureMatrix,
-                       PfhHistogram, compute_pfh, darboux_features,
+from .features import (FeatureMatrix, PfhHistogram, compute_pfh,
                        extract_features, hsv_to_rgb, rgb_to_hsv,
                        select_features)
 from .geometry import (NormalParams, NormalSet, SpatialIndex, build_index,

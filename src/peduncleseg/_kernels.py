@@ -235,26 +235,29 @@ _MOMENT_BATCH = 1_000_000
 
 
 def neighborhood_moments(xyz, nbr_idx, nbr_off):
-    """Counts, means and 3x3 covariances of each CSR neighbourhood."""
+    """Counts, means and 3x3 covariances of each CSR neighbourhood.
+
+    The neighbourhoods are taken in consecutive batches of about
+    ``_MOMENT_BATCH`` members, each cut with one ``searchsorted`` over the
+    offsets (a batch holds at least one neighbourhood).  A batch gathers
+    its members' coordinates, and ``np.add.reduceat`` over the batch's
+    offsets sums each neighbourhood on its own, so the batch size does not
+    change a bit of the results.
+    """
     n = nbr_off.shape[0] - 1
-    seg_counts = np.diff(nbr_off)
-    counts = seg_counts.astype(np.int64)
+    counts = np.diff(nbr_off).astype(np.int64)
     means = np.zeros((n, 3))
     covs = np.zeros((n, 3, 3))
     start = 0
     while start < n:
-        stop = start
-        total = 0
-        while stop < n and (total == 0 or total + seg_counts[stop] <= _MOMENT_BATCH):
-            total += seg_counts[stop]
-            stop += 1
+        stop = np.searchsorted(nbr_off, nbr_off[start] + _MOMENT_BATCH,
+                               side="right") - 1
+        stop = max(int(stop), start + 1)
         lo = nbr_off[start]
-        hi = nbr_off[stop]
-        nb = xyz[nbr_idx[lo:hi]]
+        nb = xyz[nbr_idx[lo:nbr_off[stop]]]
         offs = (nbr_off[start:stop] - lo).astype(np.intp)
-        cnt = seg_counts[start:stop]
-        sums = np.add.reduceat(nb, offs, axis=0)
-        mu = sums / cnt[:, None]
+        cnt = counts[start:stop]
+        mu = np.add.reduceat(nb, offs, axis=0) / cnt[:, None]
         means[start:stop] = mu
         centered = nb - np.repeat(mu, cnt, axis=0)
         prods = np.empty((centered.shape[0], 6))
@@ -265,14 +268,6 @@ def neighborhood_moments(xyz, nbr_idx, nbr_off):
         prods[:, 4] = centered[:, 1] * centered[:, 2]
         prods[:, 5] = centered[:, 2] * centered[:, 2]
         acc = np.add.reduceat(prods, offs, axis=0) / cnt[:, None]
-        covs[start:stop, 0, 0] = acc[:, 0]
-        covs[start:stop, 0, 1] = acc[:, 1]
-        covs[start:stop, 0, 2] = acc[:, 2]
-        covs[start:stop, 1, 0] = acc[:, 1]
-        covs[start:stop, 1, 1] = acc[:, 3]
-        covs[start:stop, 1, 2] = acc[:, 4]
-        covs[start:stop, 2, 0] = acc[:, 2]
-        covs[start:stop, 2, 1] = acc[:, 4]
-        covs[start:stop, 2, 2] = acc[:, 5]
+        covs[start:stop] = acc[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
         start = stop
     return counts, means, covs

@@ -8,7 +8,6 @@ consecutive 11-bin blocks, each block normalised to sum 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,55 +25,6 @@ FEATURE_SLICES = {
     "hsv": slice(0, 3),
     "pfh": slice(3, FEATURE_DIM),
 }
-
-
-class DegeneratePairError(ValueError):
-    """The two points coincide or a normal is parallel to the join line."""
-
-
-@dataclass(frozen=True)
-class DarbouxQuadruplet:
-    alpha: float
-    phi: float
-    theta: float
-    distance: float
-
-
-def darboux_features(p_src, n_src, p_tgt, n_tgt) -> DarbouxQuadruplet:
-    """Darboux-frame angles of one point pair.
-
-    The source is the point whose normal makes the larger |cos| angle with
-    the join line; on an exact tie the first argument is the source.  Frame:
-    u = n_source, v = unit(u x d_hat), w = u x v, with d_hat the unit vector
-    from source to target.
-    """
-    p_src = np.asarray(p_src, dtype=np.float64).reshape(3)
-    p_tgt = np.asarray(p_tgt, dtype=np.float64).reshape(3)
-    n_src = np.asarray(n_src, dtype=np.float64).reshape(3)
-    n_tgt = np.asarray(n_tgt, dtype=np.float64).reshape(3)
-
-    d = p_tgt - p_src
-    dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        raise DegeneratePairError("coincident points have no Darboux frame")
-    d_hat = d / dist
-    if abs(float(n_tgt @ d_hat)) > abs(float(n_src @ d_hat)):
-        p_src, p_tgt = p_tgt, p_src
-        n_src, n_tgt = n_tgt, n_src
-        d_hat = -d_hat
-
-    u = n_src
-    cross = np.cross(u, d_hat)
-    if float(cross @ cross) < _kernels.DEGENERATE_CROSS_SQ:
-        raise DegeneratePairError(
-            "source normal is parallel to the line joining the points")
-    v = cross / np.linalg.norm(cross)
-    w = np.cross(u, v)
-
-    alpha = float(v @ n_tgt)
-    phi = float(u @ d_hat)
-    theta = math.atan2(float(w @ n_tgt), float(u @ n_tgt))
-    return DarbouxQuadruplet(alpha, phi, theta, dist)
 
 
 def rgb_to_hsv(rgb):
@@ -150,6 +100,22 @@ class FeatureMatrix:
         return len(self.values)
 
 
+def _pfh_rows(cloud, normals, index, radius_ri, queries):
+    """Normalised PFH rows and pair counts of ``queries``, read from the
+    index's radius CSR."""
+    if radius_ri <= 0:
+        raise ValueError("radius_ri must be > 0")
+    if len(normals) != len(cloud) or len(index) != len(cloud):
+        raise ValueError("cloud, normals and index disagree on point count")
+    nbr_idx, nbr_off = index.radius_neighbors_csr(radius_ri)
+    counts, pairs = _kernels.pfh_pair_histograms(
+        cloud.xyz, normals.normals, normals.valid, nbr_idx, nbr_off, queries)
+    hist = counts.astype(np.float64)
+    scorable = pairs > 0
+    hist[scorable] /= pairs[scorable, None].astype(np.float64)
+    return hist, pairs
+
+
 def compute_pfh(query_index: int, cloud: PointCloud, normals: NormalSet,
                 index: SpatialIndex, radius_ri: float) -> PfhHistogram:
     """PFH of one point over its radius_ri neighbourhood.
@@ -160,18 +126,9 @@ def compute_pfh(query_index: int, cloud: PointCloud, normals: NormalSet,
     """
     if not 0 <= query_index < len(cloud):
         raise IndexError(f"query index {query_index} out of range")
-    nbrs = index.radius_query(cloud.xyz[query_index], radius_ri)
-    # CSR with only the query's slot populated
-    offsets = np.zeros(len(cloud) + 1, dtype=np.int64)
-    offsets[query_index + 1:] = len(nbrs)
-    counts, pairs = _kernels.pfh_pair_histograms(
-        cloud.xyz, normals.normals, normals.valid,
-        nbrs, offsets, np.array([query_index], dtype=np.int64))
-    npairs = int(pairs[0])
-    bins = counts[0].astype(np.float64)
-    if npairs > 0:
-        bins /= npairs
-    return PfhHistogram(bins, npairs)
+    hist, pairs = _pfh_rows(cloud, normals, index, radius_ri,
+                            np.array([query_index], dtype=np.int64))
+    return PfhHistogram(hist[0], int(pairs[0]))
 
 
 def extract_features(cloud: PointCloud, normals: NormalSet,
@@ -182,23 +139,13 @@ def extract_features(cloud: PointCloud, normals: NormalSet,
     yields no scorable pair, are flagged valid=False (their PFH block is
     zero; the HSV block is still filled).
     """
-    if radius_ri <= 0:
-        raise ValueError("radius_ri must be > 0")
-    if len(normals) != len(cloud) or len(index) != len(cloud):
-        raise ValueError("cloud, normals and index disagree on point count")
     n = len(cloud)
-    nbr_idx, nbr_off = index.radius_neighbors_csr(radius_ri)
-    queries = np.arange(n, dtype=np.int64)
-    counts, pairs = _kernels.pfh_pair_histograms(
-        cloud.xyz, normals.normals, normals.valid, nbr_idx, nbr_off, queries)
-
+    hist, pairs = _pfh_rows(cloud, normals, index, radius_ri,
+                            np.arange(n, dtype=np.int64))
     values = np.zeros((n, FEATURE_DIM))
     values[:, :3] = rgb_to_hsv(cloud.rgb)
-    hist = counts.astype(np.float64)
-    scorable = pairs > 0
-    hist[scorable] /= pairs[scorable, None].astype(np.float64)
     values[:, 3:] = hist
-    valid = normals.valid & scorable
+    valid = normals.valid & (pairs > 0)
     return FeatureMatrix(values, cloud.labels.copy(), valid)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import _kernels
@@ -52,29 +53,30 @@ class SpatialIndex:
     def __len__(self):
         return len(self.xyz)
 
-    def radius_query(self, point, radius):
-        """Sorted indices i with ||xyz[i] - point||_2 <= radius."""
-        idx = self._tree.query_ball_point(np.asarray(point, dtype=np.float64),
-                                          radius, return_sorted=True)
-        return np.asarray(idx, dtype=np.int64)
-
     def radius_neighbors_csr(self, radius):
         """Neighbour lists of every indexed point against itself, in CSR form.
 
-        Returns (indices, offsets): point i's neighbours (self included,
-        ascending) are indices[offsets[i]:offsets[i+1]].  The lists are built
+        Returns (indices, offsets), both int64: point i's neighbours, within
+        ``radius`` inclusive, self included, ascending, are
+        indices[offsets[i]:offsets[i+1]].  The rows are built from arrays:
+        the tree's pairs (i, j), i < j, are mirrored, every point joins its
+        own row, and one sparse CSR matrix sorts the rows.  They are built
         once per radius and shared by every caller, so both arrays are
         read-only.
         """
         radius = float(radius)
         csr = self._csr.get(radius)
         if csr is None:
-            lists = self._tree.query_ball_point(self.xyz, radius,
-                                                return_sorted=True)
-            offsets = np.zeros(len(self.xyz) + 1, dtype=np.int64)
-            offsets[1:] = np.cumsum([len(l) for l in lists])
-            indices = np.fromiter((i for l in lists for i in l), dtype=np.int64,
-                                  count=offsets[-1])
+            n = len(self.xyz)
+            pairs = self._tree.query_pairs(radius, output_type="ndarray")
+            own = np.arange(n)
+            rows = np.concatenate((pairs[:, 0], pairs[:, 1], own))
+            cols = np.concatenate((pairs[:, 1], pairs[:, 0], own))
+            adjacency = sparse.csr_matrix(
+                (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+            adjacency.sort_indices()
+            indices = adjacency.indices.astype(np.int64)
+            offsets = adjacency.indptr.astype(np.int64)
             indices.flags.writeable = False
             offsets.flags.writeable = False
             csr = self._csr[radius] = (indices, offsets)
@@ -90,8 +92,6 @@ class SpatialIndex:
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
-    if len(cloud) == 0:
-        raise ValueError("cannot index an empty cloud")
     return SpatialIndex(cloud.xyz)
 
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureMatrix, select_features
+from .features import FEATURE_SLICES, FeatureMatrix, select_features
 
 log = logging.getLogger(__name__)
 
 KERNEL_KINDS = ("linear", "rbf")
-FEATURE_SETS = ("full", "hsv", "pfh")
+FEATURE_SETS = tuple(FEATURE_SLICES)
 MODEL_SCHEMA_VERSION = 1
 
 # dual coefficients at most this far from zero are pruned from the model

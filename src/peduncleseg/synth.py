@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud_io import PointCloud
+from .cloud_io import PepperColour, PointCloud
 from .features import hsv_to_rgb
 
 
@@ -141,7 +141,7 @@ class DatasetRequest:
     def __post_init__(self):
         if self.scenes < 1:
             raise SceneSpecError("scenes must be >= 1")
-        if self.colour not in ("red", "green", "mixed"):
+        if self.colour not in PepperColour:
             raise SceneSpecError(f"unknown colour tag {self.colour!r}")
         if not self.prefix or "/" in self.prefix:
             raise SceneSpecError("prefix must be a plain file name stem")

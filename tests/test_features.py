@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from peduncleseg import (DegeneratePairError, NormalParams, PipelineConfig,
-                         PointCloud, SceneSpec, build_index, compute_pfh,
-                         darboux_features, estimate_normals, extract_features,
-                         generate_scene, hsv_to_rgb, rgb_to_hsv, scene_features,
-                         select_features)
+from peduncleseg import (NormalParams, PipelineConfig, PointCloud, SceneSpec,
+                         build_index, compute_pfh, estimate_normals,
+                         extract_features, generate_scene, hsv_to_rgb,
+                         rgb_to_hsv, scene_features, select_features)
 from peduncleseg.features import FEATURE_DIM, HIST_BINS
+
+from darboux import DegeneratePairError, darboux_features
 
 
 def cloud_from(xyz, rgb=None, labels=None):
@@ -194,6 +195,18 @@ class TestPfh:
         ns = NormalSet(normals, np.zeros(len(xyz)), valid)
         with pytest.raises(IndexError):
             compute_pfh(99, cloud, ns, build_index(cloud), 0.05)
+
+    def test_index_of_another_cloud_rejected(self, rng):
+        from peduncleseg.geometry import NormalSet
+
+        xyz, normals, valid = self.make_scene(rng)
+        cloud = cloud_from(xyz)
+        ns = NormalSet(normals, np.zeros(len(xyz)), valid)
+        other = build_index(cloud_from(xyz[:-1]))
+        with pytest.raises(ValueError, match="disagree"):
+            compute_pfh(0, cloud, ns, other, 0.05)
+        with pytest.raises(ValueError, match="disagree"):
+            extract_features(cloud, ns, other, 0.05)
 
     def test_rigid_motion_invariance(self, rng):
         from peduncleseg.geometry import NormalSet

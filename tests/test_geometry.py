@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from peduncleseg import (NormalParams, PointCloud, SpatialIndex, build_index,
                          estimate_normals)
@@ -23,32 +24,69 @@ def sphere_cap_cloud(rng, n=2000, radius=0.04, max_polar=60.0):
     return cloud_from(radius * dirs), dirs
 
 
+def ball_rows(xyz, radius):
+    """Each point's sorted neighbour list from one ball query per point: the
+    oracle for the CSR, which once was built this way."""
+    return cKDTree(xyz).query_ball_point(xyz, radius,
+                                         return_sorted=True).tolist()
+
+
+def csr_rows(index, radius):
+    nbr, off = index.radius_neighbors_csr(radius)
+    assert nbr.dtype == np.int64 and off.dtype == np.int64
+    assert len(off) == len(index) + 1
+    assert off[0] == 0 and off[-1] == len(nbr)
+    return [nbr[off[i]:off[i + 1]].tolist() for i in range(len(index))]
+
+
 class TestSpatialIndex:
-    def test_radius_query_matches_brute_force(self, rng):
+    def test_csr_matches_per_point_queries(self, rng):
         cloud = random_cloud(rng, n=120)
         index = build_index(cloud)
-        for _ in range(20):
-            q = rng.normal(size=3) * 0.05
-            r = float(rng.uniform(0.01, 0.1))
-            got = index.radius_query(q, r)
-            want = np.flatnonzero(np.linalg.norm(cloud.xyz - q, axis=1) <= r)
-            assert np.array_equal(got, want)
+        for r in (0.01, 0.05, 0.2):
+            rows = csr_rows(index, r)
+            assert rows == ball_rows(cloud.xyz, r)
+            for i, row in enumerate(rows):
+                dist = np.linalg.norm(cloud.xyz - cloud.xyz[i], axis=1)
+                assert row == np.flatnonzero(dist <= r).tolist()
+                assert i in row    # self included
 
-    def test_radius_query_sorted_and_inclusive(self):
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 10])
+    def test_csr_matches_ball_queries_on_tied_distances(self, rng, steps):
+        # gridded coordinates put many points at equal or zero distances: a
+        # 1 cm grid rounded in decimal, and a dyadic grid where sums of
+        # squares are exact, so pairs sit exactly on the radius
+        dyadic = 2.0 ** -7
+        ties = 0
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            if trial % 2:
+                xyz = np.round(rng.normal(size=(n, 3)) * 0.03, 2)
+                r = steps * 0.01
+            else:
+                grid = rng.integers(-5, 6, size=(n, 3))
+                xyz = grid * dyadic
+                r = steps * dyadic
+                d2 = ((grid[:, None] - grid[None]) ** 2).sum(axis=2)
+                ties += np.count_nonzero(d2 == steps ** 2) - (steps == 0) * n
+            assert csr_rows(SpatialIndex(xyz), r) == ball_rows(xyz, r)
+        assert ties > 0
+
+    def test_csr_inclusive_boundary(self):
         index = SpatialIndex(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]))
-        assert index.radius_query([0, 0, 0], 1.0).tolist() == [0, 1]
-        assert index.radius_query([0, 0, 0], 0.0).tolist() == [0]
+        assert csr_rows(index, 1.0) == [[0, 1], [0, 1, 2], [1, 2]]
+        assert csr_rows(index, 0.0) == [[0], [1], [2]]
 
-    def test_csr_matches_per_point_queries(self, rng):
-        cloud = random_cloud(rng, n=80)
-        index = build_index(cloud)
-        r = 0.05
-        nbr, off = index.radius_neighbors_csr(r)
-        assert off[0] == 0 and off[-1] == len(nbr)
-        for i in range(len(cloud)):
-            row = nbr[off[i]:off[i + 1]]
-            assert np.array_equal(row, index.radius_query(cloud.xyz[i], r))
-            assert i in row    # self included
+    def test_csr_coincident_points_share_rows(self):
+        xyz = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
+        for r in (0.0, 0.5):
+            assert csr_rows(SpatialIndex(xyz), r) == \
+                [[0, 1, 3], [0, 1, 3], [2], [0, 1, 3]]
+
+    def test_csr_of_one_point(self):
+        index = SpatialIndex(np.array([[0.3, -0.1, 0.2]]))
+        for r in (0.0, 1.0):
+            assert csr_rows(index, r) == [[0]]
 
     def test_csr_built_once_per_radius_and_read_only(self, rng):
         cloud = random_cloud(rng, n=80)
@@ -61,9 +99,7 @@ class TestSpatialIndex:
                 arr[0] = 1
         nbr_small, off_small = index.radius_neighbors_csr(0.03)
         assert nbr_small is not nbr and len(nbr_small) < len(nbr)
-        for i in range(len(cloud)):
-            row = nbr_small[off_small[i]:off_small[i + 1]]
-            assert np.array_equal(row, index.radius_query(cloud.xyz[i], 0.03))
+        assert csr_rows(index, 0.03) == ball_rows(cloud.xyz, 0.03)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from peduncleseg import (DegeneratePairError, KernelSpec, SpatialIndex,
-                         darboux_features, decision_scores)
+from peduncleseg import KernelSpec, SpatialIndex, decision_scores
 from peduncleseg import _kernels
 from peduncleseg._kernels import (ALPHA_SCALE, DEGENERATE_CROSS_SQ, NBINS,
                                   THETA_SCALE)
 from peduncleseg.learn import ScalingStats, SvmModel
+
+from darboux import DegeneratePairError, darboux_features
 
 
 def pfh_histograms_loops(xyz, normals, valid, nbr_idx, nbr_off, queries):
@@ -363,6 +364,18 @@ class TestMomentCorrectness:
             assert np.allclose(means[i], pts.mean(axis=0), atol=1e-12)
             expect = np.cov(pts.T, bias=True) if len(pts) > 1 else np.zeros((3, 3))
             assert np.allclose(covs[i], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 37, _kernels._MOMENT_BATCH])
+    def test_batch_size_does_not_change_a_bit(self, rng, monkeypatch, batch):
+        xyz, _n, _v, nbr_idx, nbr_off = scene(rng, n=300, radius=0.03)
+        assert np.diff(nbr_off).max() > 37   # a neighbourhood beyond a batch
+        want = _kernels.neighborhood_moments(xyz, nbr_idx, nbr_off)
+        # the default batch holds every neighbourhood at once
+        assert nbr_off[-1] <= _kernels._MOMENT_BATCH
+        monkeypatch.setattr(_kernels, "_MOMENT_BATCH", batch)
+        got = _kernels.neighborhood_moments(xyz, nbr_idx, nbr_off)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def expansion_model(rng, kernel, ns=40, d=36):

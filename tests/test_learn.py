@@ -48,6 +48,8 @@ def project_feasible(z, y, c):
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # the interval holds no float between
+            break
         if balance(mid) > 0.0:
             lo = mid
         else:
