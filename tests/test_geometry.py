@@ -40,16 +40,23 @@ def csr_rows(index, radius):
 
 
 class TestSpatialIndex:
+    def test_radius_query_matches_brute_force(self, rng):
+        # each CSR row is the radius query of one point: every point within
+        # r of it, itself included, in ascending order
+        cloud = random_cloud(rng, n=120)
+        index = build_index(cloud)
+        dist = np.linalg.norm(cloud.xyz[:, None] - cloud.xyz[None], axis=2)
+        for _ in range(20):
+            r = float(rng.uniform(0.01, 0.1))
+            for i, row in enumerate(csr_rows(index, r)):
+                assert row == np.flatnonzero(dist[i] <= r).tolist()
+                assert i in row    # self included
+
     def test_csr_matches_per_point_queries(self, rng):
         cloud = random_cloud(rng, n=120)
         index = build_index(cloud)
         for r in (0.01, 0.05, 0.2):
-            rows = csr_rows(index, r)
-            assert rows == ball_rows(cloud.xyz, r)
-            for i, row in enumerate(rows):
-                dist = np.linalg.norm(cloud.xyz - cloud.xyz[i], axis=1)
-                assert row == np.flatnonzero(dist <= r).tolist()
-                assert i in row    # self included
+            assert csr_rows(index, r) == ball_rows(cloud.xyz, r)
 
     @pytest.mark.parametrize("steps", [0, 1, 2, 5, 10])
     def test_csr_matches_ball_queries_on_tied_distances(self, rng, steps):
