@@ -1,24 +1,28 @@
 """The hot numeric kernels, in numpy: PFH pair histograms and neighbourhood
 moments.
 
-The PFH kernel works over a table of unique pairs.  It lists the pairs
-(i < j) that the queried neighbourhoods contain, as the off-diagonal
-nonzeros of A^T A with A the query-by-member matrix, and bins each pair
-once into one packed code ``ba * 121 + bp * 11 + bt`` (``1331`` for a pair
-the histograms skip); a default scene holds about 28 pair instances per
-unique pair.  It bins the pairs ``_BIN_BATCH`` at a time, so the float
-temporaries of binning stay bounded.  It then takes the queries in
-batches.  A batch renumbers the union U of its members to 0..|U|-1 and
-scatters the codes of the pairs with both ends in U into a dense |U| x |U|
-table that starts filled with a "missing" sentinel, so each pair instance
-costs one lookup; a sentinel found there means a neighbour list was not
-distinct and ascending, and raises.  One ``np.bincount`` over
-``query * 1332 + code`` gives each query's (11, 11, 11) cube of bin
-triples, whose three 11-bin marginals are its alpha, phi and theta blocks.
-A batch is cut before its pair instances, its table bytes or its histogram
-bins would pass their limits, so memory stays bounded on dense and on
-large sparse scenes alike.  Its counts are those of a scalar loop over
-every pair of every neighbourhood, integer for integer.
+The PFH kernel works over a table of unique pairs.  Let reach be the
+largest distance from a query to one of its members; by the triangle
+inequality two points that share a neighbourhood lie within 2 * reach of
+each other, so the KD-tree pairs (i < j) of the queried members within
+that distance hold every pair the histograms need, and a few more that
+are binned but never looked up.  Each pair is binned once into one packed
+code ``ba * 121 + bp * 11 + bt`` (``1331`` for a pair the histograms
+skip); a default scene holds about 28 pair instances per unique pair.  It
+bins the pairs ``_BIN_BATCH`` at a time, so the float temporaries of
+binning stay within the CPU cache.  It then takes the queries in batches.
+A batch renumbers the union U of its members to 0..|U|-1 and scatters the
+codes of the pairs with both ends in U into a dense |U| x |U| table that
+starts filled with a "missing" sentinel, so each pair instance costs one
+lookup.  Each query counts its looked-up codes with its own
+``np.bincount``; a sentinel is negative and makes ``bincount`` raise,
+which means a neighbour list was not distinct and ascending.  The counts
+form the query's (11, 11, 11) cube of bin triples, whose three 11-bin
+marginals are its alpha, phi and theta blocks.  A batch is cut before its
+pair instances, its table bytes or its histogram bins would pass their
+limits, so memory stays bounded on dense and on large sparse scenes
+alike.  Its counts are those of a scalar loop over every pair of every
+neighbourhood, integer for integer.
 
 Both kernels accumulate integer histogram counts / fixed-order float sums,
 so results do not depend on batch size.
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
+from scipy.spatial import cKDTree
 
 BACKEND = "numpy"   # recorded in benchmark provenance
 
@@ -39,11 +43,11 @@ THETA_SCALE = NBINS / (2.0 * math.pi)  # theta over [-pi, pi]
 DEGENERATE_CROSS_SQ = 1e-24        # ||U x u|| < 1e-12
 
 _PAIR_BATCH = 2_000_000    # a batch's pair instances
-_BIN_BATCH = 1 << 17       # pairs binned at once: about 350 bytes each
+_BIN_BATCH = 1 << 15       # pairs binned at once: about 350 bytes each
 _TABLE_BYTES = 32 << 20    # a batch's dense code table: |U|^2 entries
 _CUBE_BINS = 2_000_000     # a batch's histogram bins: queries * _CODES
 _SKIP = NBINS ** 3         # code of a pair the histograms leave out
-_CODES = _SKIP + 1         # codes per query in the batch histogram
+_CODES = _SKIP + 1         # codes per query histogram
 _MISSING = np.int32(np.iinfo(np.int32).min)  # dense-table entry of no pair
 
 
@@ -64,18 +68,20 @@ def _concat_ranges(starts, lens):
     return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
 
 
-def _pair_table(members, member_off, n):
-    """Every pair (j, i), i < j, of points that share a neighbourhood,
-    ordered by j then i: the nonzeros below the diagonal of A^T A, where A
-    is the query-by-point membership matrix."""
-    nq = member_off.shape[0] - 1
-    a = sparse.csr_matrix((np.ones(members.size, dtype=np.int32), members,
-                           member_off), shape=(nq, n))
-    co = (a.T @ a).tocsr()
-    co.sort_indices()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(co.indptr))
-    below = co.indices < rows
-    return rows[below], co.indices[below].astype(np.int64)
+def _pair_table(xyz, members, member_off, queries):
+    """Every pair (j, i), i < j, of members within twice the reach of each
+    other, grouped by j: a superset of the pairs that share a
+    neighbourhood.  Reach is the largest distance from a query to one of
+    its members; the search radius is widened by 1e-9 of itself, so that
+    rounding drops no pair."""
+    centres = np.repeat(queries, np.diff(member_off))
+    d2 = ((xyz[members] - xyz[centres]) ** 2).sum(axis=1)
+    reach = math.sqrt(float(d2.max()))
+    pts = np.unique(members)
+    pairs = pts[cKDTree(xyz[pts]).query_pairs(2.0 * reach * (1.0 + 1e-9),
+                                              output_type="ndarray")]
+    order = np.argsort(pairs[:, 1], kind="stable")
+    return pairs[order, 1], pairs[order, 0]
 
 
 def _bin_codes(i_arr, j_arr, xyz, normals):
@@ -173,8 +179,8 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
     """
     # Each unique pair is binned once into a packed code.  Per batch of
     # queries, the codes of the pairs among the batch's members go into a
-    # dense table, each pair instance is one lookup, and one bincount over
-    # query * _CODES + code gives every query's (11, 11, 11) cube.
+    # dense table, each pair instance is one lookup, and each query's own
+    # bincount over its codes gives its (11, 11, 11) cube.
     n = xyz.shape[0]
     nq = queries.shape[0]
     counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)
@@ -192,7 +198,7 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
     if not active.size:
         return counts, pair_counts
 
-    pair_j, pair_i = _pair_table(members, member_off, n)
+    pair_j, pair_i = _pair_table(xyz, members, member_off, queries)
     codes = np.concatenate([_bin_codes(pair_i[s:s + _BIN_BATCH],
                                        pair_j[s:s + _BIN_BATCH], xyz, normals)
                             for s in range(0, pair_i.size, _BIN_BATCH)])
@@ -208,30 +214,29 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
         inside = rows[local[pair_i[rows]] >= 0]
         table = np.full(size * size, _MISSING)
         table[local[pair_j[inside]] * size + local[pair_i[inside]]] = codes[inside]
-        keys = []
-        for base, qi in zip(range(0, sel.size * _CODES, _CODES), sel):
+        hist = np.empty((sel.size, _CODES), dtype=np.int64)
+        for row, qi in enumerate(sel):
             loc = local[members[member_off[qi]:member_off[qi + 1]]]
             p = npairs[qi]
-            keys.append(table[(loc * size)[pos_b[:p]] + loc[pos_a[:p]]] + base)
+            try:
+                hist[row] = np.bincount(table[(loc * size)[pos_b[:p]] + loc[pos_a[:p]]],
+                                        minlength=_CODES)
+            except ValueError:   # a missing pair reads _MISSING < 0
+                raise AssertionError("a neighbourhood pair is missing from the "
+                                     "pair table; neighbour lists must hold "
+                                     "distinct indices in ascending order") from None
         local[u] = -1
-        keys = np.concatenate(keys)
-        # a missing pair reads _MISSING, and _MISSING + base < 0
-        if keys.min() < 0:
-            raise AssertionError("a neighbourhood pair is missing from the pair "
-                                 "table; neighbour lists must hold distinct "
-                                 "indices in ascending order")
-        hist = np.bincount(keys, minlength=sel.size * _CODES)
-        cube = hist.reshape(sel.size, _CODES)[:, :_SKIP].reshape(
-            sel.size, NBINS, NBINS, NBINS)
-        alpha = cube.sum(axis=(2, 3))
+        cube = hist[:, :_SKIP].reshape(sel.size, NBINS, NBINS * NBINS)
+        alpha = cube.sum(axis=2)
+        phi_theta = cube.sum(axis=1).reshape(sel.size, NBINS, NBINS)
         counts[sel, :NBINS] = alpha
-        counts[sel, NBINS:2 * NBINS] = cube.sum(axis=(1, 3))
-        counts[sel, 2 * NBINS:] = cube.sum(axis=(1, 2))
+        counts[sel, NBINS:2 * NBINS] = phi_theta.sum(axis=2)
+        counts[sel, 2 * NBINS:] = phi_theta.sum(axis=1)
         pair_counts[sel] = alpha.sum(axis=1)
     return counts, pair_counts
 
 
-_MOMENT_BATCH = 1_000_000
+_MOMENT_BATCH = 1 << 14     # members per moments batch
 
 
 def neighborhood_moments(xyz, nbr_idx, nbr_off):

@@ -77,6 +77,8 @@ def _project_feasible(z, y, c):
     hi = -lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # the interval holds no float between
+            break
         if float(y @ np.clip(z - mid * y, 0.0, c)) > 0.0:
             lo = mid
         else:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from peduncleseg import KernelSpec, SpatialIndex, decision_scores
+from peduncleseg import (KernelSpec, NormalSet, PointCloud, SpatialIndex,
+                         build_index, compute_pfh, decision_scores)
 from peduncleseg import _kernels
 from peduncleseg._kernels import (ALPHA_SCALE, DEGENERATE_CROSS_SQ, NBINS,
                                   THETA_SCALE)
@@ -115,6 +117,29 @@ def pfh_histograms_loops(xyz, normals, valid, nbr_idx, nbr_off, queries):
     return counts, pair_counts
 
 
+def pair_table_shared(members, member_off, n):
+    """The oracle for the PFH kernel's pair table: every pair (j, i), i < j,
+    of points that share a neighbourhood, ordered by j then i: the nonzeros
+    below the diagonal of A^T A, where A is the query-by-point membership
+    matrix."""
+    nq = member_off.shape[0] - 1
+    a = sparse.csr_matrix((np.ones(members.size, dtype=np.int32), members,
+                           member_off), shape=(nq, n))
+    co = (a.T @ a).tocsr()
+    co.sort_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(co.indptr))
+    below = co.indices < rows
+    return rows[below], co.indices[below].astype(np.int64)
+
+
+def query_members(valid, nbr_idx, nbr_off, queries):
+    """Valid members of each valid query's neighbourhood, as a list of
+    arrays in query order."""
+    members = [nbr_idx[nbr_off[q]:nbr_off[q + 1]] if valid[q]
+               else np.empty(0, dtype=np.int64) for q in queries]
+    return [m[valid[m]] for m in members]
+
+
 def scene(rng, n=300, radius=0.015):
     xyz = rng.normal(size=(n, 3)) * 0.02
     normals = rng.normal(size=(n, 3))
@@ -185,9 +210,7 @@ def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
     is its members'; each keeps within the three limits unless it holds a
     single query; and none could also have held the next batch's first
     query."""
-    members = [nbr_idx[nbr_off[q]:nbr_off[q + 1]] if valid[q]
-               else np.empty(0, dtype=np.int64) for q in queries]
-    members = [m[valid[m]] for m in members]
+    members = query_members(valid, nbr_idx, nbr_off, queries)
     npairs = [m.size * (m.size - 1) // 2 for m in members]
     item = _kernels._MISSING.itemsize
 
@@ -317,6 +340,53 @@ class TestPfhNumpy:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene])
+    def test_pair_table_holds_every_shared_pair(self, rng, build, subset):
+        xyz, _normals, valid, nbr_idx, nbr_off = build(rng)
+        n = len(xyz)
+        queries = np.arange(n, dtype=np.int64)
+        if subset:
+            queries = np.array([9, 3, 0, 4, 3, n - 1, 1, 7, 20], dtype=np.int64)
+        members = query_members(valid, nbr_idx, nbr_off, queries)
+        member_off = np.concatenate(([0], np.cumsum([m.size for m in members])))
+        members = np.concatenate(members)
+        want_j, want_i = pair_table_shared(members, member_off, n)
+        got_j, got_i = _kernels._pair_table(xyz, members, member_off, queries)
+        assert want_j.size > 0
+        # distinct pairs (j, i), i < j, grouped by j
+        assert np.all(got_i < got_j) and np.all(np.diff(got_j) >= 0)
+        got = got_j * n + got_i
+        assert np.unique(got).size == got.size
+        assert np.isin(want_j * n + want_i, got).all()
+
+    def test_pair_table_holds_pairs_at_twice_the_reach(self, rng):
+        # a query midway between its two members: in floats the members'
+        # distance often exceeds twice the query's largest distance
+        for _ in range(200):
+            centre = rng.uniform(-0.05, 0.05, size=3)
+            step = rng.normal(size=3)
+            step *= rng.uniform(0.001, 0.01) / np.linalg.norm(step)
+            xyz = np.array([centre, centre - step, centre + step])
+            pair_j, pair_i = _kernels._pair_table(
+                xyz, np.arange(3), np.array([0, 3]), np.array([0]))
+            assert (2, 1) in zip(pair_j.tolist(), pair_i.tolist())
+
+    def test_one_query_bins_only_its_own_pairs(self, rng, monkeypatch):
+        xyz, normals, valid, nbr_idx, nbr_off = scene(rng)
+        n = len(xyz)
+        cloud = PointCloud(xyz, np.zeros((n, 3), dtype=np.uint8),
+                           np.full(n, -1, dtype=np.int8))
+        index = build_index(cloud)
+        k = np.array([m.size for m in query_members(
+            valid, nbr_idx, nbr_off, np.arange(n))])
+        q = int(np.argmax(k))
+        chunks = record_bin_chunks(monkeypatch)
+        hist = compute_pfh(q, cloud, NormalSet(normals, np.zeros(n), valid),
+                           index, 0.015)
+        assert hist.pair_count > 0
+        assert 0 < sum(chunks) <= k[q] * (k[q] - 1) // 2
+
     def test_missing_pair_raises(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off = scene(rng, n=60)
         # descending rows name every pair with its larger member first
@@ -369,9 +439,10 @@ class TestMomentCorrectness:
     def test_batch_size_does_not_change_a_bit(self, rng, monkeypatch, batch):
         xyz, _n, _v, nbr_idx, nbr_off = scene(rng, n=300, radius=0.03)
         assert np.diff(nbr_off).max() > 37   # a neighbourhood beyond a batch
+        # the default batch cuts the scene into two batches or more
+        assert nbr_off[-1] > _kernels._MOMENT_BATCH
+        monkeypatch.setattr(_kernels, "_MOMENT_BATCH", int(nbr_off[-1]))
         want = _kernels.neighborhood_moments(xyz, nbr_idx, nbr_off)
-        # the default batch holds every neighbourhood at once
-        assert nbr_off[-1] <= _kernels._MOMENT_BATCH
         monkeypatch.setattr(_kernels, "_MOMENT_BATCH", batch)
         got = _kernels.neighborhood_moments(xyz, nbr_idx, nbr_off)
         for g, w in zip(got, want):
