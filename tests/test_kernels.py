@@ -435,7 +435,9 @@ class TestMomentCorrectness:
             expect = np.cov(pts.T, bias=True) if len(pts) > 1 else np.zeros((3, 3))
             assert np.allclose(covs[i], expect, atol=1e-12)
 
-    @pytest.mark.parametrize("batch", [1, 37, _kernels._MOMENT_BATCH])
+    # 1_000_000 is a batch beyond the whole scene: one batch holds it all
+    @pytest.mark.parametrize("batch",
+                             [1, 37, _kernels._MOMENT_BATCH, 1_000_000])
     def test_batch_size_does_not_change_a_bit(self, rng, monkeypatch, batch):
         xyz, _n, _v, nbr_idx, nbr_off = scene(rng, n=300, radius=0.03)
         assert np.diff(nbr_off).max() > 37   # a neighbourhood beyond a batch
