@@ -1,12 +1,12 @@
 """The hot numeric kernels, in numpy: PFH pair histograms and neighbourhood
 moments.
 
-The PFH kernel works over a table of unique pairs.  Let reach be the
-largest distance from a query to one of its members; by the triangle
-inequality two points that share a neighbourhood lie within 2 * reach of
-each other, so the KD-tree pairs (i < j) of the queried members within
-that distance hold every pair the histograms need, and a few more that
-are binned but never looked up.  Each pair is binned once into one packed
+The PFH kernel works over a table of unique pairs.  Members lie within
+the radius the lists were built with, so by the triangle inequality two
+points that share a neighbourhood lie within twice the radius of each
+other: the KD-tree pairs (i < j) of the queried members within that
+distance hold every pair the histograms need, and a few more that are
+binned but never looked up.  Each pair is binned once into one packed
 code ``ba * 121 + bp * 11 + bt`` (``1331`` for a pair the histograms
 skip); a default scene holds about 28 pair instances per unique pair.  It
 bins the pairs ``_BIN_BATCH`` at a time, so the float temporaries of
@@ -16,13 +16,13 @@ codes of the pairs with both ends in U into a dense |U| x |U| table that
 starts filled with a "missing" sentinel, so each pair instance costs one
 lookup.  Each query counts its looked-up codes with its own
 ``np.bincount``; a sentinel is negative and makes ``bincount`` raise,
-which means a neighbour list was not distinct and ascending.  The counts
-form the query's (11, 11, 11) cube of bin triples, whose three 11-bin
-marginals are its alpha, phi and theta blocks.  A batch is cut before its
-pair instances, its table bytes or its histogram bins would pass their
-limits, so memory stays bounded on dense and on large sparse scenes
-alike.  Its counts are those of a scalar loop over every pair of every
-neighbourhood, integer for integer.
+which means a neighbour list was not distinct and ascending or reached
+beyond the radius.  The counts form the query's (11, 11, 11) cube of bin
+triples, whose three 11-bin marginals are its alpha, phi and theta
+blocks.  A batch is cut before its pair instances, its table bytes or its
+histogram bins would pass their limits, so memory stays bounded on dense
+and on large sparse scenes alike.  Its counts are those of a scalar loop
+over every pair of every neighbourhood, integer for integer.
 
 Both kernels accumulate integer histogram counts / fixed-order float sums,
 so results do not depend on batch size.
@@ -68,20 +68,20 @@ def _concat_ranges(starts, lens):
     return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
 
 
-def _pair_table(xyz, members, member_off, queries):
-    """Every pair (j, i), i < j, of members within twice the reach of each
-    other, grouped by j: a superset of the pairs that share a
-    neighbourhood.  Reach is the largest distance from a query to one of
-    its members; the search radius is widened by 1e-9 of itself, so that
-    rounding drops no pair."""
-    centres = np.repeat(queries, np.diff(member_off))
-    d2 = ((xyz[members] - xyz[centres]) ** 2).sum(axis=1)
-    reach = math.sqrt(float(d2.max()))
-    pts = np.unique(members)
-    pairs = pts[cKDTree(xyz[pts]).query_pairs(2.0 * reach * (1.0 + 1e-9),
-                                              output_type="ndarray")]
-    order = np.argsort(pairs[:, 1], kind="stable")
-    return pairs[order, 1], pairs[order, 0]
+def _pair_table(xyz, members, radius):
+    """Every pair (j, i), i < j, of members within twice the radius of each
+    other, grouped by j with a stable sort (a radix sort below 65 536
+    members): a superset of the pairs that share a neighbourhood.  The
+    search radius is widened by 1e-9 of itself, so that rounding drops no
+    pair."""
+    queried = np.zeros(xyz.shape[0], dtype=bool)
+    queried[members] = True
+    pts = np.flatnonzero(queried)
+    pairs = cKDTree(xyz[pts]).query_pairs(2.0 * radius * (1.0 + 1e-9),
+                                          output_type="ndarray")
+    key = pairs[:, 1].astype(np.min_scalar_type(pts.size - 1))
+    order = np.argsort(key, kind="stable")
+    return pts[pairs[order, 1]], pts[pairs[order, 0]]
 
 
 def _bin_codes(i_arr, j_arr, xyz, normals):
@@ -169,13 +169,13 @@ def _query_batches(active, npairs, members, member_off, n):
     yield active[lo:], np.flatnonzero(batch_of == b)
 
 
-def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
+def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
     """Per-query raw 33-bin pair counts plus pair totals.
 
     ``queries`` selects which points get histograms; neighbour lists are the
-    CSR arrays from the spatial index (self included, distinct indices in
-    ascending order, so each pair is taken from its lower index).  Points
-    flagged invalid contribute to nothing.
+    CSR arrays from the spatial index at ``radius`` (self included, distinct
+    indices in ascending order, so each pair is taken from its lower
+    index).  Points flagged invalid contribute to nothing.
     """
     # Each unique pair is binned once into a packed code.  Per batch of
     # queries, the codes of the pairs among the batch's members go into a
@@ -198,7 +198,7 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, queries):
     if not active.size:
         return counts, pair_counts
 
-    pair_j, pair_i = _pair_table(xyz, members, member_off, queries)
+    pair_j, pair_i = _pair_table(xyz, members, radius)
     codes = np.concatenate([_bin_codes(pair_i[s:s + _BIN_BATCH],
                                        pair_j[s:s + _BIN_BATCH], xyz, normals)
                             for s in range(0, pair_i.size, _BIN_BATCH)])

@@ -17,11 +17,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 UNLABELLED = -1
+_WRITE_ROWS = 1 << 13   # cloud rows formatted by one %-format call
 
 
 class PointLabel(IntEnum):
@@ -170,28 +172,27 @@ def read_cloud(path) -> PointCloud:
     if npoints <= 0:
         raise CloudFormatError("cloud must contain at least one point", 2)
 
-    data_lines = [l for l in lines[2:] if l.strip()]
-    if len(data_lines) != npoints:
+    line_of_row = [no for no, l in enumerate(lines[2:], start=3) if l.strip()]
+    if len(line_of_row) != npoints:
         raise CloudFormatError(
-            f"POINTS declares {npoints} rows but file has {len(data_lines)}", 2)
+            f"POINTS declares {npoints} rows but file has {len(line_of_row)}", 2)
 
     rows = np.empty((npoints, ncols), dtype=np.float64)
-    for i, line in enumerate(data_lines):
-        lineno = i + 3
-        parts = line.split()
+    for i, lineno in enumerate(line_of_row):
+        parts = lines[lineno - 1].split()
         if len(parts) != ncols:
             raise CloudFormatError(
                 f"expected {ncols} columns, got {len(parts)}", lineno)
         try:
             rows[i] = [float(p) for p in parts]
         except ValueError:
-            raise CloudFormatError(f"non-numeric field in {line.strip()!r}",
+            raise CloudFormatError(f"non-numeric field in {lines[lineno - 1].strip()!r}",
                                    lineno) from None
 
     xyz = rows[:, :3]
     if not np.all(np.isfinite(xyz)):
         bad = int(np.argwhere(~np.isfinite(xyz).all(axis=1))[0, 0])
-        raise CloudFormatError("non-finite coordinate", bad + 3)
+        raise CloudFormatError("non-finite coordinate", line_of_row[bad])
 
     if packed:
         rgb = _decode_packed_rgb(rows[:, 3])
@@ -199,18 +200,18 @@ def read_cloud(path) -> PointCloud:
         rgb = rows[:, 3:6]
         if np.any(rgb != np.floor(rgb)):
             bad = int(np.argwhere((rgb != np.floor(rgb)).any(axis=1))[0, 0])
-            raise CloudFormatError("colour channel is not an integer", bad + 3)
+            raise CloudFormatError("colour channel is not an integer", line_of_row[bad])
         rgb = rgb.astype(np.int64)
     if np.any((rgb < 0) | (rgb > 255)):
         bad = int(np.argwhere(((rgb < 0) | (rgb > 255)).any(axis=1))[0, 0])
-        raise CloudFormatError("colour channel out of [0, 255]", bad + 3)
+        raise CloudFormatError("colour channel out of [0, 255]", line_of_row[bad])
 
     if has_label:
         lab = rows[:, -1]
         ok = np.isin(lab, (0.0, 1.0))
         if not np.all(ok):
             bad = int(np.argwhere(~ok)[0, 0])
-            raise CloudFormatError(f"label must be 0 or 1, got {lab[bad]!r}", bad + 3)
+            raise CloudFormatError(f"label must be 0 or 1, got {lab[bad]!r}", line_of_row[bad])
         labels = lab.astype(np.int8)
     else:
         labels = np.full(npoints, UNLABELLED, dtype=np.int8)
@@ -222,25 +223,21 @@ def write_cloud(cloud: PointCloud, path) -> None:
     """Write a cloud so that read_cloud reproduces it exactly.
 
     Coordinates are written with Python's shortest round-trip float
-    representation, so the read-back values are bit-identical.
+    representation (``%r``), so the read-back values are bit-identical.
     """
     if len(cloud) == 0:
         raise ValueError("refusing to write an empty cloud")
     labelled = cloud.has_labels
     if labelled and np.any(cloud.labels == UNLABELLED):
         raise ValueError("cloud mixes labelled and unlabelled points")
-    fields = "x y z r g b label" if labelled else "x y z r g b"
-    lines = [f"FIELDS {fields}", f"POINTS {len(cloud)}"]
-    for i in range(len(cloud)):
-        x, y, z = (float(v) for v in cloud.xyz[i])
-        r, g, b = (int(v) for v in cloud.rgb[i])
-        row = f"{x!r} {y!r} {z!r} {r} {g} {b}"
-        if labelled:
-            row += f" {int(cloud.labels[i])}"
-        lines.append(row)
+    columns = [*cloud.xyz.T, *cloud.rgb.T] + [cloud.labels] * labelled
+    row = "%r %r %r" + " %d" * (len(columns) - 3) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"FIELDS x y z r g b{' label' * labelled}\nPOINTS {len(cloud)}\n")
+        for lo in range(0, len(cloud), _WRITE_ROWS):
+            chunk = [col[lo:lo + _WRITE_ROWS].tolist() for col in columns]
+            fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
     os.replace(tmp, path)
 
 

@@ -107,9 +107,9 @@ def _pfh_rows(cloud, normals, index, radius_ri, queries):
         raise ValueError("radius_ri must be > 0")
     if len(normals) != len(cloud) or len(index) != len(cloud):
         raise ValueError("cloud, normals and index disagree on point count")
-    nbr_idx, nbr_off = index.radius_neighbors_csr(radius_ri)
     counts, pairs = _kernels.pfh_pair_histograms(
-        cloud.xyz, normals.normals, normals.valid, nbr_idx, nbr_off, queries)
+        cloud.xyz, normals.normals, normals.valid,
+        *index.radius_neighbors_csr(radius_ri), radius_ri, queries)
     hist = counts.astype(np.float64)
     scorable = pairs > 0
     hist[scorable] /= pairs[scorable, None].astype(np.float64)

@@ -373,11 +373,14 @@ def save_model(model: SvmModel, path):
         "bias": model.bias,
         "meta": model.meta,
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    tmp = f"{path}.tmp.{os.getpid()}"   # processes writing one path do not mix
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(json.dumps(doc, indent=1) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):   # the write failed; any old model stays
+            os.remove(tmp)
 
 
 def _require(doc, key, types):

@@ -4,6 +4,7 @@ import pytest
 from peduncleseg import (CloudFormatError, DatasetManifest, ManifestEntry,
                          ManifestError, PointCloud, read_cloud, read_manifest,
                          write_cloud, write_manifest)
+from peduncleseg import cloud_io
 from peduncleseg.cloud_io import _decode_packed_rgb
 
 from clouds import random_cloud
@@ -74,6 +75,14 @@ class TestReadCloud:
         ("FIELDS x y z r g b\nPOINTS 1\n0 0 0 0 300 0\n", 3),
         ("FIELDS x y z r g b label\nPOINTS 1\n0 0 0 0 0 0 2\n", 3),
         ("FIELDS x y z r g b label\nPOINTS 2\n0 0 0 0 0 0 0\n1 1 1 0 0 0 7\n", 4),
+        # blank lines before and between rows still count as lines
+        ("FIELDS x y z r g b\nPOINTS 2\n\n0 0 0 0 0 0\n\n\n1 1 1 0 0\n", 7),
+        ("FIELDS x y z r g b\nPOINTS 2\n0 0 0 0 0 0\n\n1 1 x 0 0 0\n", 5),
+        ("FIELDS x y z r g b\nPOINTS 2\n\n\n0 0 0 0 0 0\n1 inf 1 0 0 0\n", 6),
+        ("FIELDS x y z r g b\nPOINTS 1\n\n  \n0 0 0 0 0.5 0\n", 5),
+        ("FIELDS x y z r g b\nPOINTS 2\n0 0 0 0 0 0\n\n1 1 1 0 0 256\n", 5),
+        ("FIELDS x y z r g b label\nPOINTS 2\n\n0 0 0 0 0 0 1\n\n1 1 1 0 0 0 2\n",
+         6),
     ])
     def test_malformed_files_report_line(self, tmp_path, text, lineno):
         p = write_text(tmp_path / "bad.cloud", text)
@@ -83,7 +92,38 @@ class TestReadCloud:
         assert f"line {lineno}:" in str(err.value)
 
 
+def cloud_text(cloud):
+    """The oracle for write_cloud: the file's text, formatted one point at a
+    time with Python's shortest round-trip float repr."""
+    labelled = cloud.has_labels
+    fields = "x y z r g b label" if labelled else "x y z r g b"
+    lines = [f"FIELDS {fields}", f"POINTS {len(cloud)}"]
+    for i in range(len(cloud)):
+        x, y, z = (float(v) for v in cloud.xyz[i])
+        r, g, b = (int(v) for v in cloud.rgb[i])
+        row = f"{x!r} {y!r} {z!r} {r} {g} {b}"
+        if labelled:
+            row += f" {int(cloud.labels[i])}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
 class TestWriteCloud:
+    # 5 rows fit one chunk; one row more than a chunk takes a second one
+    @pytest.mark.parametrize("n", [5, cloud_io._WRITE_ROWS + 1])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_bytes_equal_the_per_point_formatter(self, rng, tmp_path, n,
+                                                 labelled):
+        cloud = random_cloud(rng, n=n, labelled=labelled)
+        cloud.xyz[0] = [-0.0, 5e-324, 1e300]
+        cloud.xyz[-1] = [0.1 + 0.2, -5e-324, -1e300]
+        cloud.rgb[0] = [0, 255, 7]
+        path = tmp_path / "c.cloud"
+        write_cloud(cloud, path)
+        assert path.read_bytes() == cloud_text(cloud).encode("utf-8")
+        back = read_cloud(path)
+        assert np.array_equal(back.xyz.view(np.int64), cloud.xyz.view(np.int64))
+
     def test_round_trip_exact(self, rng, tmp_path):
         cloud = random_cloud(rng, n=40)
         path = tmp_path / "c.cloud"

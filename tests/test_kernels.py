@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from peduncleseg import (KernelSpec, NormalSet, PointCloud, SpatialIndex,
                          build_index, compute_pfh, decision_scores)
@@ -146,7 +147,7 @@ def scene(rng, n=300, radius=0.015):
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     valid = rng.random(n) > 0.05
     nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(radius)
-    return xyz, normals, valid, nbr_idx, nbr_off
+    return xyz, normals, valid, nbr_idx, nbr_off, radius
 
 
 def edge_case_scene(rng, n=60, radius=0.012):
@@ -160,7 +161,7 @@ def edge_case_scene(rng, n=60, radius=0.012):
     xyz[1] = xyz[0] + [0.002, 0.001, 0.0]  # source normal along the join line
     normals[0] = (xyz[1] - xyz[0]) / np.linalg.norm(xyz[1] - xyz[0])
     nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(radius)
-    return xyz, normals, valid, nbr_idx, nbr_off
+    return xyz, normals, valid, nbr_idx, nbr_off, radius
 
 
 def clustered_scene(rng, clusters=5, size=8):
@@ -173,7 +174,7 @@ def clustered_scene(rng, clusters=5, size=8):
     valid = np.ones(len(xyz), dtype=bool)
     nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(0.1)
     assert np.all(np.diff(nbr_off) == size)
-    return xyz, normals, valid, nbr_idx, nbr_off
+    return xyz, normals, valid, nbr_idx, nbr_off, 0.1
 
 
 def record_batches(monkeypatch):
@@ -232,10 +233,10 @@ def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
 
 class TestPfhNumpy:
     def test_pfh_histogram_row_structure(self, rng):
-        xyz, normals, valid, nbr_idx, nbr_off = scene(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng)
         queries = np.arange(len(xyz), dtype=np.int64)
         counts, pairs = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         # each 11-bin block accumulates every scored pair exactly once
         for block in range(3):
             got = counts[:, block * 11:(block + 1) * 11].sum(axis=1)
@@ -243,27 +244,27 @@ class TestPfhNumpy:
         assert np.all(pairs[~valid[queries]] == 0)
 
     def test_numpy_batching_does_not_change_counts(self, rng, monkeypatch):
-        xyz, normals, valid, nbr_idx, nbr_off = scene(rng, n=150)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=150)
         queries = np.arange(len(xyz), dtype=np.int64)
         big = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         monkeypatch.setattr(_kernels, "_PAIR_BATCH", 37)
         small = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         assert np.array_equal(big[0], small[0])
         assert np.array_equal(big[1], small[1])
 
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene])
     def test_counts_equal_python_loops(self, rng, build, subset):
-        xyz, normals, valid, nbr_idx, nbr_off = build(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = build(rng)
         queries = np.arange(len(xyz), dtype=np.int64)
         if subset:
             # unordered, repeated, and holding invalid and degenerate points
             queries = np.array([9, 3, 0, 4, 3, len(xyz) - 1, 1, 7, 20],
                                dtype=np.int64)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert want[1].sum() > 0
@@ -271,7 +272,7 @@ class TestPfhNumpy:
         assert np.array_equal(got[1], want[1])
 
     def test_edge_case_scene_holds_the_degenerate_pairs(self, rng):
-        xyz, normals, valid, nbr_idx, nbr_off = edge_case_scene(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, _r = edge_case_scene(rng)
         for i, j in ((3, 7), (0, 1)):
             assert j in nbr_idx[nbr_off[i]:nbr_off[i + 1]]
             with pytest.raises(DegeneratePairError):
@@ -287,7 +288,7 @@ class TestPfhNumpy:
     @pytest.mark.parametrize("build", [scene, edge_case_scene])
     def test_small_batches_equal_python_loops(self, rng, monkeypatch, build,
                                               subset, limit, value):
-        xyz, normals, valid, nbr_idx, nbr_off = build(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = build(rng)
         queries = np.arange(len(xyz), dtype=np.int64)
         if subset:
             queries = np.array([9, 3, 0, 4, 3, len(xyz) - 1, 1, 7, 20],
@@ -298,7 +299,7 @@ class TestPfhNumpy:
         batches = record_batches(monkeypatch)
         chunks = record_bin_chunks(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         # the limit under test cuts the work into three pieces or more
         assert len(chunks if limit == "_BIN_BATCH" else batches) >= 3
         assert max(chunks) <= _kernels._BIN_BATCH
@@ -308,8 +309,8 @@ class TestPfhNumpy:
 
     def test_table_within_limit_when_every_point_is_in_every_neighbourhood(
             self, rng, monkeypatch):
-        xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng, clusters=1,
-                                                                size=40)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = clustered_scene(
+            rng, clusters=1, size=40)
         queries = np.arange(len(xyz), dtype=np.int64)
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
@@ -319,13 +320,13 @@ class TestPfhNumpy:
                             40 ** 2 * _kernels._MISSING.itemsize)
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         assert [(len(sel), union.size) for sel, union in batches] == [(40, 40)]
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
     def test_table_limit_cuts_interleaved_clusters(self, rng, monkeypatch):
-        xyz, normals, valid, nbr_idx, nbr_off = clustered_scene(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = clustered_scene(rng)
         # one query from each cluster in turn, so every query widens the union
         queries = np.arange(len(xyz), dtype=np.int64).reshape(5, 8).T.ravel()
         want = pfh_histograms_loops(
@@ -334,7 +335,7 @@ class TestPfhNumpy:
                             16 ** 2 * _kernels._MISSING.itemsize)
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
-            xyz, normals, valid, nbr_idx, nbr_off, queries)
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         assert max(union.size for _sel, union in batches) == 16
         assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
         assert np.array_equal(got[0], want[0])
@@ -343,7 +344,7 @@ class TestPfhNumpy:
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene])
     def test_pair_table_holds_every_shared_pair(self, rng, build, subset):
-        xyz, _normals, valid, nbr_idx, nbr_off = build(rng)
+        xyz, _normals, valid, nbr_idx, nbr_off, radius = build(rng)
         n = len(xyz)
         queries = np.arange(n, dtype=np.int64)
         if subset:
@@ -352,7 +353,7 @@ class TestPfhNumpy:
         member_off = np.concatenate(([0], np.cumsum([m.size for m in members])))
         members = np.concatenate(members)
         want_j, want_i = pair_table_shared(members, member_off, n)
-        got_j, got_i = _kernels._pair_table(xyz, members, member_off, queries)
+        got_j, got_i = _kernels._pair_table(xyz, members, radius)
         assert want_j.size > 0
         # distinct pairs (j, i), i < j, grouped by j
         assert np.all(got_i < got_j) and np.all(np.diff(got_j) >= 0)
@@ -360,20 +361,34 @@ class TestPfhNumpy:
         assert np.unique(got).size == got.size
         assert np.isin(want_j * n + want_i, got).all()
 
-    def test_pair_table_holds_pairs_at_twice_the_reach(self, rng):
-        # a query midway between its two members: in floats the members'
-        # distance often exceeds twice the query's largest distance
+    def test_pair_table_holds_pairs_at_twice_the_radius(self, rng):
+        # a query midway between its two members, at a radius equal to its
+        # larger distance: in floats the members' distance often exceeds
+        # twice that radius
         for _ in range(200):
             centre = rng.uniform(-0.05, 0.05, size=3)
             step = rng.normal(size=3)
             step *= rng.uniform(0.001, 0.01) / np.linalg.norm(step)
             xyz = np.array([centre, centre - step, centre + step])
-            pair_j, pair_i = _kernels._pair_table(
-                xyz, np.arange(3), np.array([0, 3]), np.array([0]))
+            radius = math.sqrt(float(((xyz - centre) ** 2).sum(axis=1).max()))
+            pair_j, pair_i = _kernels._pair_table(xyz, np.arange(3), radius)
             assert (2, 1) in zip(pair_j.tolist(), pair_i.tolist())
 
+    # 200 and 1 000 points take 8- and 16-bit keys, 70 000 a 32-bit key
+    @pytest.mark.parametrize("n", [200, 1_000, 70_000])
+    def test_pair_table_groups_as_the_int64_stable_sort(self, rng, n):
+        xyz = rng.uniform(0.0, 1.0, size=(n, 3))
+        radius = 0.5 * n ** (-1 / 3)   # sparse: a few pairs per point
+        pairs = cKDTree(xyz).query_pairs(2.0 * radius * (1.0 + 1e-9),
+                                         output_type="ndarray")
+        order = np.argsort(pairs[:, 1].astype(np.int64), kind="stable")
+        pair_j, pair_i = _kernels._pair_table(xyz, np.arange(n), radius)
+        assert pairs.shape[0] > n // 2
+        assert np.array_equal(pair_j, pairs[order, 1])
+        assert np.array_equal(pair_i, pairs[order, 0])
+
     def test_one_query_bins_only_its_own_pairs(self, rng, monkeypatch):
-        xyz, normals, valid, nbr_idx, nbr_off = scene(rng)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng)
         n = len(xyz)
         cloud = PointCloud(xyz, np.zeros((n, 3), dtype=np.uint8),
                            np.full(n, -1, dtype=np.int8))
@@ -383,17 +398,25 @@ class TestPfhNumpy:
         q = int(np.argmax(k))
         chunks = record_bin_chunks(monkeypatch)
         hist = compute_pfh(q, cloud, NormalSet(normals, np.zeros(n), valid),
-                           index, 0.015)
+                           index, radius)
         assert hist.pair_count > 0
         assert 0 < sum(chunks) <= k[q] * (k[q] - 1) // 2
 
     def test_missing_pair_raises(self, rng):
-        xyz, normals, valid, nbr_idx, nbr_off = scene(rng, n=60)
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=60)
         # descending rows name every pair with its larger member first
         rows = [nbr_idx[nbr_off[i]:nbr_off[i + 1]][::-1] for i in range(60)]
         with pytest.raises(AssertionError, match="pair table"):
             _kernels.pfh_pair_histograms(
-                xyz, normals, valid, np.concatenate(rows), nbr_off,
+                xyz, normals, valid, np.concatenate(rows), nbr_off, radius,
+                np.arange(60, dtype=np.int64))
+
+    def test_lists_wider_than_the_radius_raise(self, rng):
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=60,
+                                                              radius=0.03)
+        with pytest.raises(AssertionError, match="pair table"):
+            _kernels.pfh_pair_histograms(
+                xyz, normals, valid, nbr_idx, nbr_off, radius / 4,
                 np.arange(60, dtype=np.int64))
 
 
@@ -425,7 +448,7 @@ class TestBinning:
 
 class TestMomentCorrectness:
     def test_against_numpy_cov(self, rng):
-        xyz, _n, _v, nbr_idx, nbr_off = scene(rng, n=100)
+        xyz, _n, _v, nbr_idx, nbr_off, _r = scene(rng, n=100)
         counts, means, covs = _kernels.neighborhood_moments(xyz, nbr_idx, nbr_off)
         for i in range(0, 100, 7):
             members = nbr_idx[nbr_off[i]:nbr_off[i + 1]]
@@ -439,7 +462,7 @@ class TestMomentCorrectness:
     @pytest.mark.parametrize("batch",
                              [1, 37, _kernels._MOMENT_BATCH, 1_000_000])
     def test_batch_size_does_not_change_a_bit(self, rng, monkeypatch, batch):
-        xyz, _n, _v, nbr_idx, nbr_off = scene(rng, n=300, radius=0.03)
+        xyz, _n, _v, nbr_idx, nbr_off, _r = scene(rng, n=300, radius=0.03)
         assert np.diff(nbr_off).max() > 37   # a neighbourhood beyond a batch
         # the default batch cuts the scene into two batches or more
         assert nbr_off[-1] > _kernels._MOMENT_BATCH

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -721,6 +722,26 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_failed_dump_keeps_the_old_model(self, rng, tmp_path, monkeypatch):
+        x = rng.normal(size=(10, 2))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig())
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        seen = []
+
+        def fail(*_args, **_kwargs):
+            seen.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(learn, "json", SimpleNamespace(dumps=fail))
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        # the temporary file is named for this process, and removed
+        assert seen == ["model.json", f"model.json.tmp.{os.getpid()}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert path.read_bytes() == before
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
