@@ -14,8 +14,7 @@ from .evaluation import (EvalReport, EvaluationError, PrCurve, SplitSpec,
                          SweepResult, auc, evaluate, pr_curve, split_dataset,
                          sweep)
 from .features import (FeatureMatrix, PfhHistogram, compute_pfh,
-                       extract_features, hsv_to_rgb, rgb_to_hsv,
-                       select_features)
+                       extract_features, rgb_to_hsv, select_features)
 from .geometry import (NormalParams, NormalSet, SpatialIndex, build_index,
                        estimate_normals)
 from .learn import (KernelSpec, ModelFormatError, ScalingStats, SvmModel,

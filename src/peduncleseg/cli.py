@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import os
 import sys
@@ -15,8 +16,9 @@ import time
 from dataclasses import replace
 
 from .cloud_io import (CloudFormatError, ManifestError, ManifestEntry,
-                       DatasetManifest, read_cloud, read_manifest, write_cloud,
-                       write_manifest)
+                       DatasetManifest, read_cloud, read_manifest, read_text,
+                       replaced, write_cloud, write_manifest,
+                       write_scores_csv)
 from .config import ConfigError, PipelineConfig, load_pipeline_config
 from .evaluation import (EvaluationError, SplitSpec, evaluate, split_dataset,
                          sweep, write_curve_csv, write_report_json)
@@ -79,11 +81,8 @@ def cmd_predict(config: PipelineConfig, model_path, cloud_path, out_path,
     labels, scores, elapsed = predict_parallel(
         model, model_features(model, features), workers)
     write_cloud(processed.with_labels(labels), out_path)
-    scores_path = os.path.splitext(out_path)[0] + "_scores.csv"
-    with open(scores_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("index,score,label\n")
-        for i, (s, lab) in enumerate(zip(scores, labels)):
-            fh.write(f"{i},{repr(float(s))},{int(lab)}\n")
+    write_scores_csv(scores, labels,
+                     os.path.splitext(out_path)[0] + "_scores.csv")
     rate = len(labels) / elapsed if elapsed > 0 else float("inf")
     print(f"{len(labels)} points scored in {elapsed:.3f}s "
           f"({rate:.0f} points/s, workers={workers}) -> {out_path}")
@@ -109,27 +108,26 @@ def cmd_evaluate(config: PipelineConfig, model_path, manifest_path,
 def _read_grid(path):
     """Grid CSV: header kernel,gamma,c[,feature_set]; bad rows are skipped."""
     grid = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                not {"kernel", "gamma", "c"} <= set(reader.fieldnames):
-            raise ConfigError(
-                f"grid file {path} needs a kernel,gamma,c header")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                kind = (row["kernel"] or "").strip()
-                raw_gamma = (row["gamma"] or "").strip()
-                gamma = None if kind == "linear" or raw_gamma in ("", "none") \
-                    else float(raw_gamma)
-                config = TrainConfig(
-                    kernel=KernelSpec(kind, gamma),
-                    c=float(row["c"]),
-                    feature_set=(row.get("feature_set") or "full").strip(),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                log.warning("grid line %d skipped: %s", lineno, exc)
-                continue
-            grid.append(config)
+    reader = csv.DictReader(io.StringIO(read_text(path, ConfigError)))
+    if reader.fieldnames is None or \
+            not {"kernel", "gamma", "c"} <= set(reader.fieldnames):
+        raise ConfigError(
+            f"grid file {path} needs a kernel,gamma,c header")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            kind = (row["kernel"] or "").strip()
+            raw_gamma = (row["gamma"] or "").strip()
+            gamma = None if kind == "linear" or raw_gamma in ("", "none") \
+                else float(raw_gamma)
+            config = TrainConfig(
+                kernel=KernelSpec(kind, gamma),
+                c=float(row["c"]),
+                feature_set=(row.get("feature_set") or "full").strip(),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            log.warning("grid line %d skipped: %s", lineno, exc)
+            continue
+        grid.append(config)
     if not grid:
         raise ConfigError(f"grid file {path} has no usable rows")
     return grid
@@ -142,7 +140,7 @@ def cmd_sweep(config: PipelineConfig, manifest_path, grid_path, report_path,
     split = SplitSpec(train_fraction=0.5, seed=0 if seed is None else seed)
     train_part, val_part = split_dataset(manifest, split)
     results = sweep(train_part, grid, val_part, config)
-    with open(report_path, "w", encoding="ascii", newline="\n") as fh:
+    with replaced(report_path) as fh:
         fh.write("kernel,gamma,c,feature_set,auc,error\n")
         for r in results:
             k = r.config.kernel

@@ -10,11 +10,19 @@ declare a single ``rgb`` field holding the packed-float colour convention
 (the 32-bit pattern of the float is ``0x00RRGGBB``), which is decoded to
 three integer channels on read.  Manifests are one CSV-ish line per scene:
 ``<path>,<scene_id>,<trip:1|2>,<colour:red|green|mixed>``.
+
+Every file the package writes or reads goes through four helpers here:
+``replaced`` writes a file that replaces its target only when complete,
+``format_rows`` formats table rows a chunk at a time, ``read_text`` decodes
+a file under its reader's own error, and ``read_ini`` parses an INI file
+against a typed schema.
 """
 
 from __future__ import annotations
 
+import configparser
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import chain
@@ -23,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 UNLABELLED = -1
-_WRITE_ROWS = 1 << 13   # cloud rows formatted by one %-format call
+_WRITE_ROWS = 1 << 13   # table rows formatted by one %-format call
 
 
 class PointLabel(IntEnum):
@@ -46,6 +54,62 @@ class CloudFormatError(ValueError):
 
 class ManifestError(ValueError):
     pass
+
+
+@contextmanager
+def replaced(path):
+    """A UTF-8 text file that replaces ``path`` only when the block completes;
+    if the block raises, its temporary ``<path>.tmp.<pid>`` is removed."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):   # the block failed
+            os.remove(tmp)
+
+
+def format_rows(row, columns):
+    """``row`` %-formatted with each row of the arrays ``columns``, one
+    string per ``_WRITE_ROWS`` rows; values come from ``tolist()``, so
+    ``%r`` gives a float's shortest round-trip repr."""
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        chunk = [col[lo:lo + _WRITE_ROWS].tolist() for col in columns]
+        yield row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk)))
+
+
+def read_text(path, error, encoding="utf-8"):
+    """The text of ``path``; bytes that do not decode raise ``error``."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not {encoding} text: {exc}") from exc
+
+
+def read_ini(path, schema, error, what):
+    """Typed values of an INI file as ``{section: {key: value}}`` for every
+    section of ``schema`` (``{section: {key: parser}}``).  A file that does
+    not parse, or holds anything outside the schema or a value its parser
+    rejects, raises ``error``; ``what`` names the kind of file."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(read_text(path, error), source=str(path))
+    except configparser.Error as exc:
+        raise error(f"cannot parse {what} {path}: {exc}") from exc
+    values = {section: {} for section in schema}
+    for section in parser.sections():
+        if section not in schema:
+            raise error(f"unknown {what} section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in schema[section]:
+                raise error(f"unknown key {key!r} in section [{section}]")
+            try:
+                values[section][key] = schema[section][key](raw)
+            except ValueError as exc:
+                raise error(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return values
 
 
 @dataclass
@@ -145,8 +209,7 @@ def read_cloud(path) -> PointCloud:
     or an empty cloud.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, CloudFormatError).splitlines()
     if len(lines) < 2:
         raise CloudFormatError("missing FIELDS/POINTS header", 1)
 
@@ -232,13 +295,17 @@ def write_cloud(cloud: PointCloud, path) -> None:
         raise ValueError("cloud mixes labelled and unlabelled points")
     columns = [*cloud.xyz.T, *cloud.rgb.T] + [cloud.labels] * labelled
     row = "%r %r %r" + " %d" * (len(columns) - 3) + "\n"
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with replaced(path) as fh:
         fh.write(f"FIELDS x y z r g b{' label' * labelled}\nPOINTS {len(cloud)}\n")
-        for lo in range(0, len(cloud), _WRITE_ROWS):
-            chunk = [col[lo:lo + _WRITE_ROWS].tolist() for col in columns]
-            fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
-    os.replace(tmp, path)
+        fh.writelines(format_rows(row, columns))
+
+
+def write_scores_csv(scores, labels, path) -> None:
+    """Write per-point score and label arrays as ``index,score,label`` rows."""
+    with replaced(path) as fh:
+        fh.write("index,score,label\n")
+        fh.writelines(format_rows("%d,%r,%d\n",
+                                  [np.arange(len(scores)), scores, labels]))
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -246,25 +313,27 @@ def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise ManifestError(
-                    f"{path}:{lineno}: expected 4 comma-separated fields, got {len(parts)}")
-            fpath, scene_id, trip_str, colour = parts
-            if fpath in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate path {fpath!r}")
-            seen.add(fpath)
-            if trip_str not in ("1", "2"):
-                raise ManifestError(f"{path}:{lineno}: trip must be 1 or 2, got {trip_str!r}")
-            if colour not in PepperColour:
-                raise ManifestError(
-                    f"{path}:{lineno}: unknown colour tag {colour!r} (expected red/green/mixed)")
-            entries.append(ManifestEntry(fpath, scene_id, int(trip_str), colour))
+    text = read_text(path, ManifestError)
+    # "\n" only, as a file's line iterator: splitlines() also splits at \v,
+    # \f and others, which would shift the line numbers in the messages
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ManifestError(
+                f"{path}:{lineno}: expected 4 comma-separated fields, got {len(parts)}")
+        fpath, scene_id, trip_str, colour = parts
+        if fpath in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate path {fpath!r}")
+        seen.add(fpath)
+        if trip_str not in ("1", "2"):
+            raise ManifestError(f"{path}:{lineno}: trip must be 1 or 2, got {trip_str!r}")
+        if colour not in PepperColour:
+            raise ManifestError(
+                f"{path}:{lineno}: unknown colour tag {colour!r} (expected red/green/mixed)")
+        entries.append(ManifestEntry(fpath, scene_id, int(trip_str), colour))
     if not entries:
         raise ManifestError(f"{path}: manifest has no entries")
     return DatasetManifest(entries, base_dir=path.parent)
@@ -272,5 +341,5 @@ def read_manifest(path) -> DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
     lines = [f"{e.path},{e.scene_id},{e.trip},{e.colour}" for e in manifest.entries]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replaced(path) as fh:
         fh.write("\n".join(lines) + "\n")

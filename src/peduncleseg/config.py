@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cloud_io import read_ini
 from .geometry import NormalParams
 from .learn import KernelSpec, TrainConfig
 from .preprocess import OutlierParams, VoxelParams
@@ -34,11 +34,19 @@ class PipelineConfig:
             raise ConfigError("max_train_rows must be >= 2")
 
 
+def _vec3(raw):
+    """Three numbers separated by spaces or commas."""
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 3:
+        raise ValueError("expected three numbers")
+    return np.array([float(v) for v in parts])
+
+
 # section -> key -> parser; mirrors the dataclasses above
 _SCHEMA = {
     "outlier": {"k_neighbours": int, "stddev_multiplier": float},
     "voxel": {"leaf_size": float},
-    "normals": {"radius_rn": float, "viewpoint": "vec3"},
+    "normals": {"radius_rn": float, "viewpoint": _vec3},
     "features": {"radius_ri": float},
     "train": {"kernel": str, "gamma": float, "c": float, "tolerance": float,
               "max_passes": int, "seed": int, "feature_set": str,
@@ -54,45 +62,16 @@ _TOP_FIELDS = {("features", "radius_ri"): "radius_ri",
                ("paths", "reports"): "report_dir"}
 
 
-def _parse_value(section, key, raw):
-    kind = _SCHEMA[section][key]
-    try:
-        if kind == "vec3":
-            parts = raw.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ValueError("expected three numbers")
-            return np.array([float(v) for v in parts])
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
 def load_pipeline_config(path) -> PipelineConfig:
     """Parse an INI pipeline config; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-
-    values = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[(section, key)] = _parse_value(section, key, raw)
-    return _build(values)
+    return _build(read_ini(path, _SCHEMA, ConfigError, "config"))
 
 
 def _build(values) -> PipelineConfig:
     """PipelineConfig from the dataclass defaults and the keys the file sets."""
     def part(section):
-        return {key: v for (s, key), v in values.items()
-                if s == section and (s, key) not in _TOP_FIELDS}
+        return {key: v for key, v in values[section].items()
+                if (section, key) not in _TOP_FIELDS}
 
     base = PipelineConfig()
     try:
@@ -106,7 +85,7 @@ def _build(values) -> PipelineConfig:
             voxel=replace(base.voxel, **part("voxel")),
             normals=replace(base.normals, **part("normals")),
             train=replace(base.train, kernel=KernelSpec(kind, gamma), **train),
-            **{name: values[key] for key, name in _TOP_FIELDS.items()
-               if key in values})
+            **{name: values[s][key] for (s, key), name in _TOP_FIELDS.items()
+               if key in values[s]})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

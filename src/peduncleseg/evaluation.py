@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_io import DatasetManifest
+from .cloud_io import DatasetManifest, format_rows, replaced
 from .features import select_features
 from .learn import (SvmModel, TrainConfig, TrainingError, decision_scores,
                     model_features, train_svm)
@@ -228,13 +228,13 @@ def write_report_json(reports, path):
     doc = [{"slice": r.slice_tag, "auc": r.auc, "positives": r.positives,
             "negatives": r.negatives, "curve_points": len(r.curve.recall)}
            for r in reports]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with replaced(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def write_curve_csv(curve: PrCurve, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with replaced(path) as fh:
         fh.write("threshold,recall,precision\n")
-        for t, r, p in zip(curve.thresholds, curve.recall, curve.precision):
-            fh.write(f"{repr(float(t))},{repr(float(r))},{repr(float(p))}\n")
+        fh.writelines(format_rows("%r,%r,%r\n", [
+            curve.thresholds, curve.recall, curve.precision]))

@@ -61,27 +61,6 @@ def rgb_to_hsv(rgb):
     return out[0] if single else out
 
 
-def hsv_to_rgb(hsv):
-    """Inverse of rgb_to_hsv, returning float channels in [0, 1]."""
-    arr = np.asarray(hsv, dtype=np.float64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    h, s, v = arr[:, 0], arr[:, 1], arr[:, 2]
-
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(np.int64) % 6
-
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    out = np.stack([r, g, b], axis=1)
-    return out[0] if single else out
-
-
 @dataclass
 class PfhHistogram:
     bins: np.ndarray   # (33,) float64, each 11-bin block sums to 1

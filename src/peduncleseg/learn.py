@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cloud_io import read_text, replaced
 from .features import FEATURE_SLICES, FeatureMatrix, select_features
 
 log = logging.getLogger(__name__)
@@ -373,14 +373,8 @@ def save_model(model: SvmModel, path):
         "bias": model.bias,
         "meta": model.meta,
     }
-    tmp = f"{path}.tmp.{os.getpid()}"   # processes writing one path do not mix
-    try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(json.dumps(doc, indent=1) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):   # the write failed; any old model stays
-            os.remove(tmp)
+    with replaced(path) as fh:   # json escapes every non-ASCII character
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _require(doc, key, types):
@@ -395,8 +389,7 @@ def _require(doc, key, types):
 def load_model(path) -> SvmModel:
     """Read a model written by save_model, validating the schema."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path, ModelFormatError, "ascii"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

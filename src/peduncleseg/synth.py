@@ -9,13 +9,13 @@ generator, so a spec reproduces its cloud bit for bit.
 
 from __future__ import annotations
 
+import colorsys
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud_io import PepperColour, PointCloud
-from .features import hsv_to_rgb
+from .cloud_io import PepperColour, PointCloud, read_ini
 
 
 class SceneSpecError(ValueError):
@@ -89,7 +89,7 @@ def _peduncle_points(rng, spec):
 
 
 def _colours(rng, hue, n, noise_std):
-    base = hsv_to_rgb([hue, 1.0, 1.0]) * 255.0
+    base = np.array(colorsys.hsv_to_rgb(hue, 1.0, 1.0)) * 255.0
     noisy = base[None, :] + rng.normal(0.0, noise_std, (n, 3))
     return np.clip(np.floor(noisy + 0.5), 0.0, 255.0).astype(np.uint8)
 
@@ -147,49 +147,21 @@ class DatasetRequest:
             raise SceneSpecError("prefix must be a plain file name stem")
 
 
-_DATASET_KEYS = {"scenes": int, "seed": int, "colour": str, "prefix": str}
-_SCENE_KEYS = {
-    "body_radius": float, "peduncle_radius": float, "peduncle_length": float,
-    "peduncle_curvature": float, "body_hue": float, "peduncle_hue": float,
-    "colour_noise_std": float, "position_noise_std": float,
-    "points_body": int, "points_peduncle": int,
+_SCHEMA = {
+    "dataset": {"scenes": int, "seed": int, "colour": str, "prefix": str},
+    "scene": {"body_radius": float, "peduncle_radius": float,
+              "peduncle_length": float, "peduncle_curvature": float,
+              "body_hue": float, "peduncle_hue": float,
+              "colour_noise_std": float, "position_noise_std": float,
+              "points_body": int, "points_peduncle": int},
 }
 
 
 def load_scene_request(path) -> DatasetRequest:
     """Parse a scene spec INI: a [dataset] section plus optional [scene] keys."""
-    import configparser
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except configparser.Error as exc:
-        raise SceneSpecError(f"cannot parse scene spec {path}: {exc}") from exc
-
-    for section in parser.sections():
-        if section not in ("dataset", "scene"):
-            raise SceneSpecError(f"unknown scene spec section [{section}]")
-
-    def typed(section, schema):
-        out = {}
-        if not parser.has_section(section):
-            return out
-        for key, raw in parser.items(section):
-            if key not in schema:
-                raise SceneSpecError(
-                    f"unknown key {key!r} in section [{section}]")
-            try:
-                out[key] = schema[key](raw)
-            except ValueError as exc:
-                raise SceneSpecError(
-                    f"[{section}] {key} = {raw!r}: {exc}") from exc
-        return out
-
-    dataset = typed("dataset", _DATASET_KEYS)
-    scene = typed("scene", _SCENE_KEYS)
-    scene["seed"] = dataset.pop("seed", 0)
-    base = SceneSpec(**scene)
+    values = read_ini(path, _SCHEMA, SceneSpecError, "scene spec")
+    dataset = values["dataset"]
+    base = SceneSpec(seed=dataset.pop("seed", 0), **values["scene"])
     return DatasetRequest(base=base,
                           scenes=dataset.get("scenes", 8),
                           colour=dataset.get("colour", "red"),

@@ -1,6 +1,7 @@
 """End-to-end CLI tests; each command runs in-process via cli.main()."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,14 +171,29 @@ reports = out
         path.write_text("[train]\n" + train)
         assert load_pipeline_config(path).train.kernel.gamma == gamma
 
-    def test_invalid_value_is_config_error(self, tmp_path):
+    # each message is matched word for word; {path} is the file's path
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nkernel = linear\ngamma = 0.1\n",
+         "linear kernel takes no gamma"),
+        ("[voxel]\nleaf_size = 0\n", "leaf_size must be > 0"),
+        ("[train]\nmax_train_rows = 1\n", "max_train_rows must be >= 2"),
+        ("k_neighbours = 8\n",
+         "cannot parse config {path}: File contains no section headers."),
+        ("[weather]\nsun = 1\n", "unknown config section [weather]"),
+        ("[train]\nmomentum = 0.9\n",
+         "unknown key 'momentum' in section [train]"),
+        ("[voxel]\nleaf_size = big\n",
+         "[voxel] leaf_size = 'big': could not convert string to float: "
+         "'big'"),
+        ("[normals]\nviewpoint = 0 0\n",
+         "[normals] viewpoint = '0 0': expected three numbers"),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
-        for text in ("[train]\nkernel = linear\ngamma = 0.1\n",
-                     "[voxel]\nleaf_size = 0\n",
-                     "[train]\nmax_train_rows = 1\n"):
-            path.write_text(text)
-            with pytest.raises(ConfigError):
-                load_pipeline_config(path)
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match=re.escape(message.format(path=path))):
+            load_pipeline_config(path)
 
 
 class TestSynth:
@@ -399,6 +415,41 @@ class TestEvaluate:
                        workdir["model"], str(tmp_path / "manifest.csv"),
                        str(tmp_path / "reports")])
         assert rc == 3
+
+
+class TestUndecodableInput:
+    """A file whose bytes do not decode ends with its reader's exit code."""
+
+    @pytest.mark.parametrize("bad, code", [
+        ("cloud", 3), ("manifest", 3), ("model", 4), ("config", 2),
+        ("spec", 2), ("grid", 2),
+    ])
+    def test_exit_code(self, workdir, tmp_path, capsys, bad, code):
+        files = {"cloud": workdir["data"] / "scene-000.cloud",
+                 "manifest": workdir["data"] / "manifest.csv",
+                 "model": workdir["base"] / "model.json",
+                 "config": workdir["base"] / "pipeline.ini",
+                 "spec": workdir["base"] / "scenes.ini",
+                 "grid": tmp_path / "grid.csv"}
+        files["grid"].write_text("kernel,gamma,c\nlinear,,1\n")
+        data = files[bad].read_bytes()
+        if bad == "model":   # valid UTF-8 JSON, but a model file is ASCII
+            data = data.replace(b'"rbf"', '"rbf\u00e9"'.encode("utf-8"), 1)
+        else:   # a stray 0xff byte at the start of the second line
+            cut = data.index(b"\n") + 1
+            data = data[:cut] + b"\xff" + data[cut:]
+        files[bad] = tmp_path / files[bad].name
+        files[bad].write_bytes(data)
+        argv = {"spec": ["synth", files["spec"], tmp_path / "out"],
+                "manifest": ["evaluate", files["model"], files["manifest"],
+                             tmp_path / "reports"],
+                "grid": ["sweep", files["manifest"], files["grid"],
+                         tmp_path / "sweep.csv"]}.get(
+            bad, ["predict", files["model"], files["cloud"],
+                  tmp_path / "out.cloud"])
+        assert cli.main(["--config", str(files["config"])]
+                        + [str(a) for a in argv]) == code
+        assert f"error: {files[bad]} is not" in capsys.readouterr().err
 
 
 class TestSweep:

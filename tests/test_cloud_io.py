@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from peduncleseg import (CloudFormatError, DatasetManifest, ManifestEntry,
                          ManifestError, PointCloud, read_cloud, read_manifest,
                          write_cloud, write_manifest)
 from peduncleseg import cloud_io
-from peduncleseg.cloud_io import _decode_packed_rgb
+from peduncleseg.cloud_io import _decode_packed_rgb, write_scores_csv
 
-from clouds import random_cloud
+from clouds import failing_format_rows, random_cloud
 
 
 def write_text(path, text):
@@ -124,6 +126,21 @@ class TestWriteCloud:
         back = read_cloud(path)
         assert np.array_equal(back.xyz.view(np.int64), cloud.xyz.view(np.int64))
 
+    def test_failed_write_keeps_the_old_file(self, rng, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "c.cloud"
+        write_cloud(random_cloud(rng, n=5), path)
+        before = path.read_bytes()
+        seen = []
+        monkeypatch.setattr(cloud_io, "format_rows", failing_format_rows(
+            cloud_io.format_rows, tmp_path, seen))
+        with pytest.raises(OSError, match="disk full"):
+            write_cloud(random_cloud(rng, n=cloud_io._WRITE_ROWS + 1), path)
+        # the first chunk went to a temporary file named for this process
+        assert seen == ["c.cloud", f"c.cloud.tmp.{os.getpid()}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cloud"]
+        assert path.read_bytes() == before
+
     def test_round_trip_exact(self, rng, tmp_path):
         cloud = random_cloud(rng, n=40)
         path = tmp_path / "c.cloud"
@@ -158,6 +175,27 @@ class TestWriteCloud:
         cloud.labels[2] = -1
         with pytest.raises(ValueError):
             write_cloud(cloud, tmp_path / "p.cloud")
+
+
+def scores_text(scores, labels):
+    """The oracle for write_scores_csv: the file's text, formatted one point
+    at a time."""
+    lines = ["index,score,label"]
+    for i, (s, lab) in enumerate(zip(scores, labels)):
+        lines.append(f"{i},{repr(float(s))},{int(lab)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteScoresCsv:
+    @pytest.mark.parametrize("n", [5, cloud_io._WRITE_ROWS + 1])
+    def test_bytes_equal_the_per_point_formatter(self, rng, tmp_path, n):
+        scores = rng.normal(size=n)
+        scores[:4] = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+        scores[-1] = -1e300
+        labels = np.where(scores > 0.0, 1, 0).astype(np.int8)
+        path = tmp_path / "s.csv"
+        write_scores_csv(scores, labels, path)
+        assert path.read_bytes() == scores_text(scores, labels).encode("ascii")
 
 
 class TestPointCloud:
@@ -202,15 +240,18 @@ class TestManifest:
                        "# comment\n\na.cloud,s1,1,red\n\n# more\n")
         assert len(read_manifest(p)) == 1
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "# only a comment\n",
-        "a.cloud,s1,1\n",
-        "a.cloud,s1,3,red\n",
-        "a.cloud,s1,1,blue\n",
-        "a.cloud,s1,1,red\na.cloud,s2,2,green\n",
+    # each message names the file line, comments and blank lines counted
+    @pytest.mark.parametrize("text, message", [
+        ("", "m.csv: manifest has no entries"),
+        ("# only a comment\n", "m.csv: manifest has no entries"),
+        ("a.cloud,s1,1\n", "m.csv:1: expected 4 comma-separated fields"),
+        ("# c\n\na.cloud,s1,3,red\n", "m.csv:3: trip must be 1 or 2"),
+        ("a.cloud,s1,1,blue\n", "m.csv:1: unknown colour tag 'blue'"),
+        ("a.cloud,s1,1,red\r\n\r\na.cloud,s2,2,green\r\n",
+         "m.csv:3: duplicate path 'a.cloud'"),
     ])
-    def test_bad_manifests(self, tmp_path, text):
-        p = write_text(tmp_path / "m.csv", text)
-        with pytest.raises(ManifestError):
+    def test_bad_manifests(self, tmp_path, text, message):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ManifestError, match=message):
             read_manifest(p)

@@ -1,12 +1,17 @@
 import logging
+import os
 
 import numpy as np
 import pytest
 
 from peduncleseg import (DatasetManifest, EvaluationError, ManifestEntry,
-                         PipelineConfig, SplitSpec, TrainConfig, auc, evaluate,
-                         pr_curve, split_dataset, sweep)
+                         PipelineConfig, PrCurve, SplitSpec, TrainConfig, auc,
+                         evaluate, pr_curve, split_dataset, sweep)
+from peduncleseg import evaluation
+from peduncleseg.cloud_io import _WRITE_ROWS
 from peduncleseg.evaluation import write_curve_csv, write_report_json
+
+from clouds import failing_format_rows
 
 
 def manifest_of(n, colours=("red",), trips=(1, 2)):
@@ -438,7 +443,46 @@ class TestSweep:
             sweep(m, [], m, cfg)
 
 
+def curve_text(curve):
+    """The oracle for write_curve_csv: the file's text, formatted one
+    operating point at a time."""
+    lines = ["threshold,recall,precision"]
+    for t, r, p in zip(curve.thresholds, curve.recall, curve.precision):
+        lines.append(f"{repr(float(t))},{repr(float(r))},{repr(float(p))}")
+    return "\n".join(lines) + "\n"
+
+
 class TestReportFiles:
+    # 5 points fit one chunk; one point more than a chunk takes a second one
+    @pytest.mark.parametrize("n", [5, _WRITE_ROWS + 1])
+    def test_curve_bytes_equal_the_per_point_formatter(self, rng, tmp_path,
+                                                        n):
+        thresholds = np.sort(rng.normal(size=n))[::-1]
+        thresholds[:4] = [np.inf, 1e300, 5e-324, -0.0]
+        recall = np.linspace(0.0, 1.0, n)
+        recall[1] = 0.1 + 0.2
+        precision = rng.random(n)
+        curve = PrCurve(recall, precision, thresholds)
+        path = tmp_path / "pr.csv"
+        write_curve_csv(curve, path)
+        assert path.read_bytes() == curve_text(curve).encode("ascii")
+
+    def test_failed_curve_write_keeps_the_old_file(self, rng, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "pr.csv"
+        write_curve_csv(pr_curve(rng.normal(size=30), [0, 1] * 15), path)
+        before = path.read_bytes()
+        seen = []
+        monkeypatch.setattr(evaluation, "format_rows", failing_format_rows(
+            evaluation.format_rows, tmp_path, seen))
+        scores = rng.normal(size=2 * _WRITE_ROWS)
+        with pytest.raises(OSError, match="disk full"):
+            write_curve_csv(pr_curve(scores, [0, 1] * _WRITE_ROWS), path)
+        # the first chunk went to a temporary file named for this process
+        assert seen == ["pr.csv", f"pr.csv.tmp.{os.getpid()}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["pr.csv"]
+        assert path.read_bytes() == before
+
     def test_report_json_and_curve_csv(self, tmp_path, rng):
         curve = pr_curve(rng.normal(size=30), rng.integers(0, 2, 30))
         from peduncleseg.evaluation import EvalReport

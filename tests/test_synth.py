@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,19 +156,29 @@ class TestSceneRequestFile:
         assert req.scenes == 2 and req.colour == "red"
         assert req.base.points_body == 5000
 
-    @pytest.mark.parametrize("text", [
-        "scenes = 2\n",                          # no section header
-        "[dataset]\nscenes = two\n",             # bad int
-        "[dataset]\nscene_count = 2\n",          # unknown key
-        "[weather]\nsun = 1\n",                  # unknown section
-        "[scene]\nbody_radius = -1\n",           # invalid value
-        "[dataset]\nscenes = 0\n",               # invalid count
-        "[dataset]\ncolour = blue\n",            # unknown colour
+    # each message is matched word for word; {path} is the file's path
+    @pytest.mark.parametrize("text, message", [
+        ("scenes = 2\n",                          # no section header
+         "cannot parse scene spec {path}: File contains no section headers."),
+        ("[dataset]\nscenes = two\n",             # bad int
+         "[dataset] scenes = 'two': invalid literal for int() with base 10: "
+         "'two'"),
+        ("[dataset]\nscene_count = 2\n",          # unknown key
+         "unknown key 'scene_count' in section [dataset]"),
+        ("[weather]\nsun = 1\n",                  # unknown section
+         "unknown scene spec section [weather]"),
+        ("[scene]\nbody_radius = -1\n",           # invalid value
+         "radii must be > 0"),
+        ("[dataset]\nscenes = 0\n",               # invalid count
+         "scenes must be >= 1"),
+        ("[dataset]\ncolour = blue\n",            # unknown colour
+         "unknown colour tag 'blue'"),
     ])
-    def test_malformed_files_rejected(self, tmp_path, text):
+    def test_malformed_files_rejected(self, tmp_path, text, message):
         p = tmp_path / "spec.ini"
         p.write_text(text)
-        with pytest.raises(SceneSpecError):
+        with pytest.raises(SceneSpecError,
+                           match=re.escape(message.format(path=p))):
             load_scene_request(p)
 
     def test_request_validation(self):
