@@ -7,7 +7,7 @@ CLI round out the pipeline.
 """
 
 from .cloud_io import (CloudFormatError, DatasetManifest, ManifestEntry,
-                       ManifestError, PointCloud, PointLabel, UNLABELLED,
+                       ManifestError, PointCloud, UNLABELLED,
                        read_cloud, read_manifest, write_cloud, write_manifest)
 from .config import ConfigError, PipelineConfig, load_pipeline_config
 from .evaluation import (EvalReport, EvaluationError, PrCurve, SplitSpec,

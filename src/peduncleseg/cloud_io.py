@@ -24,7 +24,6 @@ import configparser
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 from itertools import chain
 from pathlib import Path
 
@@ -32,14 +31,6 @@ import numpy as np
 
 UNLABELLED = -1
 _WRITE_ROWS = 1 << 13   # table rows formatted by one %-format call
-
-
-class PointLabel(IntEnum):
-    """Per-point class. Serialized labelled values are exactly 0 or 1."""
-
-    PEPPER = 0
-    PEDUNCLE = 1
-    UNLABELLED = -1
 
 
 class CloudFormatError(ValueError):
@@ -92,8 +83,11 @@ def read_ini(path, schema, error, what):
     """Typed values of an INI file as ``{section: {key: value}}`` for every
     section of ``schema`` (``{section: {key: parser}}``).  A file that does
     not parse, or holds anything outside the schema or a value its parser
-    rejects, raises ``error``; ``what`` names the kind of file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    rejects, raises ``error``; ``what`` names the kind of file.  No header
+    can name the default section "", so ``[DEFAULT]`` is a section like any
+    other, outside the schema, and its keys are not copied into others."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         parser.read_string(read_text(path, error), source=str(path))
     except configparser.Error as exc:
@@ -209,7 +203,12 @@ def read_cloud(path) -> PointCloud:
     or an empty cloud.
     """
     path = Path(path)
-    lines = read_text(path, CloudFormatError).splitlines()
+    try:
+        lines = read_text(path, CloudFormatError).splitlines()
+    except CloudFormatError as exc:
+        bad = exc.__cause__   # the UnicodeDecodeError over the file's bytes
+        raise CloudFormatError(
+            str(exc), bad.object.count(b"\n", 0, bad.start) + 1) from bad
     if len(lines) < 2:
         raise CloudFormatError("missing FIELDS/POINTS header", 1)
 

@@ -30,6 +30,8 @@ MODEL_SCHEMA_VERSION = 1
 SV_EPS = 1e-12
 # byte budget of the SMO kernel-row cache
 _ROW_CACHE_BYTES = 256 * 2**20
+# byte budget of the kernel values of one block of scored rows
+_SCORE_BLOCK_BYTES = 256 * 2**10
 # kernel point sets get zero rows up to a multiple of this, so OpenBLAS runs
 # every entry of P @ x through the same gemv code, whatever its thread count
 _ROW_PAD = 8
@@ -121,9 +123,16 @@ def _kernel_row(points, sq, x, sq_x, kernel, out):
     never on other rows scored with x; with x a row of P, K is symmetric.
     """
     np.dot(points, x, out=out)
+    return _kernel_from_dots(out, sq, sq_x, kernel)
+
+
+def _kernel_from_dots(g, sq, sq_x, kernel):
+    """Kernel values from dot products g = P @ x, in place: g itself (linear)
+    or exp(-gamma * max(sq_P + |x|^2 - 2 g, 0)) (rbf), elementwise, so an
+    entry's bits do not depend on the shape of g."""
     if kernel.kind == "rbf":
-        np.exp(-kernel.gamma * np.maximum(sq + sq_x - 2.0 * out, 0.0), out=out)
-    return out
+        np.exp(-kernel.gamma * np.maximum(sq + sq_x - 2.0 * g, 0.0), out=g)
+    return g
 
 
 def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
@@ -310,12 +319,19 @@ def decision_scores(model: SvmModel, features) -> np.ndarray:
     xs = np.ascontiguousarray(model.scaling.apply(rows))
     sq_x = np.einsum("ij,ij->i", xs, xs)
     points, sq = _kernel_points(model.support_vectors)
-    kv = np.empty(len(points))
+    m = model.support_count
+    coefs = model.dual_coefs[:, None]
+    block = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, len(points))))
     scores = np.empty(len(xs))
-    # row at a time, so a row's score cannot depend on how callers chunk rows
-    for r in range(len(xs)):
-        _kernel_row(points, sq, xs[r], sq_x[r], model.kernel, kv)
-        scores[r] = model.dual_coefs @ kv[:model.support_count] + model.bias
+    # Each row still gets its own gemv P @ x and its own dot with the
+    # coefficients, as _kernel_row and np.dot give it: stacked matmuls run
+    # them in C over a block of rows, so a row's score cannot depend on the
+    # other rows of its block or on how callers chunk rows.
+    for lo in range(0, len(xs), block):
+        hi = lo + block
+        g = np.matmul(points[None], xs[lo:hi, :, None])[:, :, 0]
+        k = _kernel_from_dots(g, sq, sq_x[lo:hi, None], model.kernel)
+        scores[lo:hi] = np.matmul(k[:, None, :m], coefs)[:, 0, 0] + model.bias
     return scores
 
 
@@ -334,11 +350,11 @@ def model_features(model: SvmModel, features: FeatureMatrix) -> FeatureMatrix:
 def predict_parallel(model: SvmModel, features, workers: int = 1):
     """Score rows across a thread pool; output is identical for any worker count.
 
-    Rows are split into contiguous chunks with np.array_split and scored with
-    a fixed per-row accumulation order, so the reassembled scores are
-    bit-identical whether workers is 1 or 8.  Returns (labels, scores,
-    elapsed_seconds); labels are 0 (pepper) / 1 (peduncle), score > 0 means
-    peduncle.
+    Rows are split into contiguous chunks with np.array_split, and each
+    row's score is its own gemv and dot, run in C over a block of rows by
+    decision_scores, so the reassembled scores are bit-identical whether
+    workers is 1 or 8.  Returns (labels, scores, elapsed_seconds); labels
+    are 0 (pepper) / 1 (peduncle), score > 0 means peduncle.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

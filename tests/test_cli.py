@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from peduncleseg import (ConfigError, KernelSpec, NormalParams,
-                         OutlierParams, PipelineConfig, TrainConfig,
-                         VoxelParams, cli, load_pipeline_config,
+from peduncleseg import (CloudFormatError, ConfigError, KernelSpec,
+                         NormalParams, OutlierParams, PipelineConfig,
+                         TrainConfig, VoxelParams, cli, load_pipeline_config,
                          read_cloud, read_manifest)
 
 CONFIG_INI = """\
@@ -187,6 +187,8 @@ reports = out
          "'big'"),
         ("[normals]\nviewpoint = 0 0\n",
          "[normals] viewpoint = '0 0': expected three numbers"),
+        ("[DEFAULT]\nleaf_size = 0.5\n[outlier]\nk_neighbours = 8\n",
+         "unknown config section [DEFAULT]"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
@@ -449,7 +451,24 @@ class TestUndecodableInput:
                   tmp_path / "out.cloud"])
         assert cli.main(["--config", str(files["config"])]
                         + [str(a) for a in argv]) == code
-        assert f"error: {files[bad]} is not" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # a cloud error names its 1-based line, here the second
+        assert f"error: {'line 2: ' * (bad == 'cloud')}{files[bad]} is not" \
+            in err
+
+    @pytest.mark.parametrize("cut", [0, 40, -5])
+    def test_cloud_error_names_the_line(self, tmp_path, cut):
+        body = ("FIELDS x y z r g b\nPOINTS 3000\n"
+                + "0.1 0.2 0.3 1 2 3\r\n" * 3000).encode()
+        data = body[:cut] + b"\xff" + body[cut:]
+        path = tmp_path / "bad.cloud"
+        path.write_bytes(data)
+        with pytest.raises(CloudFormatError) as err:
+            read_cloud(path)
+        # cut = -5 puts the byte far past the file's first 8 KB
+        assert err.value.line == data[:cut].count(b"\n") + 1 \
+            == {0: 1, 40: 3, -5: 3002}[cut]
+        assert str(err.value).startswith(f"line {err.value.line}: {path} is not")
 
 
 class TestSweep:

@@ -15,7 +15,8 @@ from peduncleseg import (FeatureMatrix, KernelSpec, ModelFormatError,
                          TrainConfig, TrainingError, decision_scores,
                          load_model, predict_parallel, save_model, train_svm)
 from peduncleseg import learn
-from peduncleseg.learn import SV_EPS, _kernel_points, _kernel_row
+from peduncleseg.learn import (SV_EPS, ScalingStats, SvmModel, _kernel_points,
+                               _kernel_row)
 
 
 def matrix(values, labels):
@@ -90,6 +91,27 @@ def stacked_rows(x, kernel):
     return np.stack([_kernel_row(points, sq, points[t], sq[t], kernel,
                                  np.empty(len(points)))[:len(x)]
                      for t in range(len(x))])
+
+
+def row_loop_scores(model, rows):
+    """Scores one row at a time, each one _kernel_row and one dot: the loop
+    decision_scores ran before it scored blocks, kept as its oracle."""
+    xs = np.ascontiguousarray(model.scaling.apply(rows))
+    sq_x = np.einsum("ij,ij->i", xs, xs)
+    points, sq = _kernel_points(model.support_vectors)
+    kv = np.empty(len(points))
+    scores = np.empty(len(xs))
+    for r in range(len(xs)):
+        _kernel_row(points, sq, xs[r], sq_x[r], model.kernel, kv)
+        scores[r] = model.dual_coefs @ kv[:model.support_count] + model.bias
+    return scores
+
+
+def random_model(rng, kernel, m, d):
+    """A model of m random support vectors, coefficients and scaling."""
+    scaling = ScalingStats(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    return SvmModel(kernel, 1.0, scaling, rng.normal(size=(m, d)),
+                    rng.normal(size=m), -0.3)
 
 
 def sv_rows(model, xs):
@@ -389,6 +411,59 @@ class TestGram:
         for pick in ([5, 9, 100], [299], list(range(256)), [100, 5]):
             assert np.array_equal(decision_scores(model, queries[pick]),
                                   full[pick])
+
+
+class TestBlockedScores:
+    """decision_scores runs each row's gemv and dot in stacked matmuls over a
+    block of rows; its bits must be those of the row loop.  They rest on
+    numpy sending each stacked product to the gemv and dot that np.dot and a
+    1-d @ use, which these tests check."""
+    kernels = [KernelSpec("linear", None), KernelSpec("rbf", 0.05)]
+
+    # 7 and 8 support vectors sit on either side of one _ROW_PAD
+    @pytest.mark.parametrize("kernel", kernels, ids=["linear", "rbf"])
+    @pytest.mark.parametrize("d", [3, 5, 33, 36])
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 62, 477, 2148])
+    def test_bits_equal_the_row_loop(self, kernel, d, m):
+        rng = np.random.default_rng(1000 * d + m)
+        model = random_model(rng, kernel, m, d)
+        block = learn._SCORE_BLOCK_BYTES // (8 * max(1, -(-m // 8) * 8))
+        assert block >= 2
+        x = 2.0 * rng.normal(size=(2 * block + 3, d))
+        want = row_loop_scores(model, x)
+        if m == 0:
+            assert np.all(want == model.bias)
+        pick = np.sort(rng.choice(len(x), size=min(len(x), 50), replace=False))
+        for rows in ([0], pick, range(block - 1), range(block),
+                     range(block + 1), range(len(x))):
+            rows = np.asarray(rows)
+            assert np.array_equal(decision_scores(model, x[rows]), want[rows])
+
+    @pytest.mark.parametrize("kernel", kernels, ids=["linear", "rbf"])
+    def test_budget_below_one_row_scores_one_row_per_block(self, rng, kernel,
+                                                           monkeypatch):
+        model = random_model(rng, kernel, 62, 36)
+        x = rng.normal(size=(40, 36))
+        monkeypatch.setattr(learn, "_SCORE_BLOCK_BYTES", 1)
+        assert np.array_equal(decision_scores(model, x),
+                              row_loop_scores(model, x))
+
+    @pytest.mark.parametrize("kernel", kernels, ids=["linear", "rbf"])
+    def test_peak_memory_bounded_by_the_block(self, kernel):
+        rng = np.random.default_rng(5)
+        n, d, m = 20_000, 36, 2_000
+        model = random_model(rng, kernel, m, d)
+        x = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            decision_scores(model, x)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows' scaled copy and its temporary, plus a few temporaries of
+        # one block: 4 MB over them is far below the 320 MB (N, m) kernel
+        # matrix, and a 4 MB block budget already peaks past it (rbf)
+        assert peak < 2 * x.nbytes + 4 * 2**20
 
 
 class TestRowCache:

@@ -173,6 +173,8 @@ class TestSceneRequestFile:
          "scenes must be >= 1"),
         ("[dataset]\ncolour = blue\n",            # unknown colour
          "unknown colour tag 'blue'"),
+        ("[DEFAULT]\nscenes = 2\n",               # configparser's defaults
+         "unknown scene spec section [DEFAULT]"),
     ])
     def test_malformed_files_rejected(self, tmp_path, text, message):
         p = tmp_path / "spec.ini"
