@@ -66,7 +66,8 @@ def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
     elapsed = time.perf_counter() - t0
     status = "converged" if model.meta["converged"] \
         else "not converged (stopped at max_passes)"
-    print(f"trained on {model.meta['train_rows']} rows in {elapsed:.1f}s; "
+    print(f"trained on {model.meta['train_rows']} rows "
+          f"({model.meta['distinct_rows']} distinct) in {elapsed:.1f}s; "
           f"SMO {status} after {model.meta['iterations']} iterations "
           f"({model.meta['kernel_rows']} kernel rows computed); "
           f"{model.support_count} support vectors -> {model_out}")

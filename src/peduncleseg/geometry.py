@@ -25,15 +25,14 @@ class NormalParams:
 
 @dataclass
 class NormalSet:
-    """Per-point unit normals with surface-variation curvature.
+    """Per-point unit normals.
 
     Entries with valid=False (fewer than 3 neighbours, or a collinear /
-    coincident neighbourhood) carry a zero normal and zero curvature; they
-    are flagged, never used silently.
+    coincident neighbourhood) carry a zero normal; they are flagged, never
+    used silently.
     """
 
     normals: np.ndarray   # (N, 3)
-    curvature: np.ndarray  # (N,), in [0, 1/3]
     valid: np.ndarray     # (N,) bool
 
     def __len__(self):
@@ -107,7 +106,7 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex,
     The normal is the smallest-eigenvalue eigenvector of the neighbourhood
     covariance, flipped so that n . (viewpoint - p) >= 0.  When that dot
     product is exactly zero the sign is canonical: positive z, else positive
-    y, else positive x.  Curvature is lambda0 / (lambda0+lambda1+lambda2).
+    y, else positive x.
     """
     if len(cloud) == 0:
         raise ValueError("empty cloud")
@@ -125,11 +124,6 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex,
     valid = (counts >= 3) & (total > 0.0) \
         & (evals[:, 1] > _DEGENERATE_EIG_RATIO * evals[:, 2])
 
-    curvature = np.zeros(len(cloud))
-    np.divide(evals[:, 0], total, out=curvature, where=valid)
-    curvature = np.clip(curvature, 0.0, 1.0 / 3.0)
-    curvature[~valid] = 0.0
-
     toward = params.viewpoint[None, :] - xyz
     orient = np.einsum("ij,ij->i", normals, toward)
     flip = orient < 0.0
@@ -142,4 +136,4 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex,
         flip = flip | (tie & (canon < 0.0))
     normals[flip] *= -1.0
     normals[~valid] = 0.0
-    return NormalSet(normals, curvature, valid)
+    return NormalSet(normals, valid)

@@ -88,7 +88,10 @@ class ScalingStats:
     def apply(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
         safe = np.where(self.std == 0.0, 1.0, self.std)
-        scaled = (rows - self.mean) / safe
+        # one (N, d) array, divided in place: rows - mean is a new array, so
+        # the caller's rows, which np.asarray may alias, are never written
+        scaled = rows - self.mean
+        scaled /= safe
         scaled[:, self.std == 0.0] = 0.0
         return scaled
 
@@ -135,25 +138,52 @@ def _kernel_from_dots(g, sq, sq_x, kernel):
     return g
 
 
+def _row_alphas(totals, var_of_row, counts, c):
+    """Per-row alphas from the distinct variables' totals: row r, the p-th
+    copy of variable var_of_row[r] in row order (0-based), gets
+    clip(totals[v] - p C, 0, C), so copies fill to C one after another.
+    counts[v] is the number of rows of variable v."""
+    by_var = np.argsort(var_of_row, kind="stable")
+    nth = np.empty(len(var_of_row))
+    nth[by_var] = np.arange(len(var_of_row)) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.clip(totals[var_of_row] - nth * c, 0.0, c)
+
+
 def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     """Train a binary SVM with sequential minimal optimisation.
 
     Solves min 1/2 a'Qa - e'a s.t. 0 <= a <= C, y'a = 0, Q = diag(y) K
     diag(y), using maximal-violating-pair working sets; stops when the
     duality-gap proxy m(a) - M(a) drops to config.tolerance or after
-    max_passes * n iterations, logging a warning in the latter case.
+    max_passes * n iterations, n the training rows, logging a warning in
+    the latter case.
+
+    k training rows with the same scaled values and label have the same
+    row of Q, so the solver runs over the distinct (row, label) pairs, in
+    order of first occurrence: each is one variable A_u with box
+    [0, k_u C] (per-instance C, Chang & Lin, LIBSVM, 2011), clipped by
+    LIBSVM's per-variable rules; meta["distinct_rows"] counts them.  With
+    every k_u = 1 those rules do the same operations in the same order as
+    scalar-C clipping.  Afterwards the p-th copy of a row (0-based, in row
+    order) gets alpha = clip(A_u - p C, 0, C), so earlier copies fill
+    first and every per-row alpha lies in [0, C].  The bias comes from the
+    free variables, 0 < A_u < k_u C; the support vectors, their dual
+    coefficients and the objective from the per-row alphas.  Duplicate
+    support vectors stay separate: a summed coefficient can exceed C.
 
     The trainer reads rows of K, not Q.  Row t is computed by _kernel_row on
-    first use and kept in an LRU cache, one lazily touched (slots, n) float64
-    array with slots = min(n, max(2, _ROW_CACHE_BYTES // 8n)): memory stays
-    O(_ROW_CACHE_BYTES + n d) at any n, and meta["kernel_rows"] counts the
-    rows computed, recomputations after eviction included.  Instead of g it
-    keeps -y * g in two masked buffers: up_vals holds it on I_up and -inf
-    elsewhere, low_vals on I_low and +inf elsewhere, so the working pair is
-    argmax(up_vals), argmin(low_vals).  Each iteration adds K[i] (-y_i da_i)
-    + K[j] (-y_j da_j) to both buffers in place (the infinities stay) and
-    re-masks only entries i and j.  Multiplying by +-1 is exact, so every
-    value equals the one a loop over Q and g computes.
+    first use and kept in an LRU cache, one lazily touched (slots, u) float64
+    array with slots = min(u, max(2, _ROW_CACHE_BYTES // 8u)), u the
+    variables: memory stays O(_ROW_CACHE_BYTES + n d) at any n, and
+    meta["kernel_rows"] counts the rows computed, recomputations after
+    eviction included.  Instead of g it keeps -y * g in two masked buffers:
+    up_vals holds it on I_up and -inf elsewhere, low_vals on I_low and +inf
+    elsewhere, so the working pair is argmax(up_vals), argmin(low_vals).
+    Each iteration adds K[i] (-y_i da_i) + K[j] (-y_j da_j) to both buffers
+    in place (the infinities stay) and re-masks only entries i and j.
+    Multiplying by +-1 is exact, so every value equals the one a loop over
+    Q and g computes.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -176,10 +206,27 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
     c = float(config.c)
     tol = float(config.tolerance)
-    points, sq = _kernel_points(xs)
-    slots = min(n, max(2, _ROW_CACHE_BYTES // (8 * len(points))))
+    # the SMO variables: one per distinct (scaled row, label) byte string,
+    # in order of first occurrence; var_of_row[r] is row r's variable
+    key = np.ascontiguousarray(np.column_stack([xs, y]))
+    uniq, first, inverse, counts = np.unique(
+        key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
+    del key, uniq
+    order = np.argsort(first)
+    first, counts = first[order], counts[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    var_of_row = rank[inverse]
+    del order, rank, inverse   # freed before the row cache is allocated
+    u = len(first)
+    yv = y[first]
+    cap = c * counts
+    bound = cap.tolist()   # Python floats for the loop's scalar arithmetic
+    points, sq = _kernel_points(xs[first])
+    slots = min(u, max(2, _ROW_CACHE_BYTES // (8 * len(points))))
     cache = np.empty((slots, len(points)))
-    slot_of = OrderedDict()   # row -> cache slot, least recently used first
+    slot_of = OrderedDict()   # variable -> cache slot, least recently used first
     kernel_rows = 0
 
     def kernel_row(t):
@@ -192,15 +239,15 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
                         cache[slot])
             kernel_rows += 1
         slot_of[t] = slot
-        return cache[slot, :n]
+        return cache[slot, :u]
 
-    alpha = np.zeros(n)
-    # -y * g at alpha = 0 (g = -1), masked to I_up / I_low; every row is in
-    # at least one of the two sets, so each value lives in some buffer
-    up_vals = np.where(y > 0, y, -np.inf)
-    low_vals = np.where(y < 0, y, np.inf)
-    step = np.empty(n)
-    step_j = np.empty(n)
+    alpha = np.zeros(u)
+    # -y * g at alpha = 0 (g = -1), masked to I_up / I_low; every variable
+    # is in at least one of the two sets, so each value lives in some buffer
+    up_vals = np.where(yv > 0, yv, -np.inf)
+    low_vals = np.where(yv < 0, yv, np.inf)
+    step = np.empty(u)
+    step_j = np.empty(u)
     max_iter = config.max_passes * n
     converged = False
     it = 0
@@ -215,7 +262,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             converged = True
             break
 
-        yi, yj = y[i], y[j]
+        yi, yj = yv[i], yv[j]
         gi, gj = -yi * m_up, -yj * m_low
         ki = kernel_row(i)
         kj = kernel_row(j)   # slots >= 2, so fetching row j keeps row i
@@ -223,6 +270,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
         if quad <= 0.0:
             quad = tau
         ai_old, aj_old = alpha[i], alpha[j]
+        ci, cj = bound[i], bound[j]
         if yi != yj:
             delta = (-gi - gj) / quad
             diff = ai_old - aj_old
@@ -230,27 +278,27 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             if diff > 0:
                 if aj < 0:
                     aj, ai = 0.0, diff
-                if ai > c:
-                    ai, aj = c, c - diff
-            else:
-                if ai < 0:
-                    ai, aj = 0.0, -diff
-                if aj > c:
-                    aj, ai = c, c + diff
+            elif ai < 0:
+                ai, aj = 0.0, -diff
+            if diff > ci - cj:
+                if ai > ci:
+                    ai, aj = ci, ci - diff
+            elif aj > cj:
+                aj, ai = cj, cj + diff
         else:
             delta = (gi - gj) / quad
             total = ai_old + aj_old
             ai, aj = ai_old - delta, aj_old + delta
-            if total > c:
-                if ai > c:
-                    ai, aj = c, total - c
-                if aj > c:
-                    aj, ai = c, total - c
-            else:
-                if aj < 0:
-                    aj, ai = 0.0, total
-                if ai < 0:
-                    ai, aj = 0.0, total
+            if total > ci:
+                if ai > ci:
+                    ai, aj = ci, total - ci
+            elif aj < 0:
+                aj, ai = 0.0, total
+            if total > cj:
+                if aj > cj:
+                    aj, ai = cj, total - cj
+            elif ai < 0:
+                ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
         np.multiply(ki, -yi * (ai - ai_old), out=step)
         np.multiply(kj, -yj * (aj - aj_old), out=step_j)
@@ -260,30 +308,33 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
         # i was in I_up and j in I_low, so those buffers hold their values;
         # each re-enters the sets its new alpha puts it in
         for t, a, v in ((i, ai, up_vals[i]), (j, aj, low_vals[j])):
-            in_up, in_low = (a < c, a > 0) if y[t] > 0 else (a > 0, a < c)
+            in_up, in_low = (a < bound[t], a > 0) if yv[t] > 0 \
+                else (a > 0, a < bound[t])
             up_vals[t] = v if in_up else -np.inf
             low_vals[t] = v if in_low else np.inf
         it += 1
     if not converged:
         log.warning("SMO stopped at max_passes=%d after %d iterations "
-                    "(%d kernel rows computed) on %d rows without reaching "
-                    "tolerance %g", config.max_passes, it, kernel_rows, n, tol)
+                    "(%d kernel rows computed) on %d rows (%d distinct) "
+                    "without reaching tolerance %g", config.max_passes, it,
+                    kernel_rows, n, u, tol)
 
     up = up_vals > -np.inf
     low = low_vals < np.inf
-    grad = -y * np.where(up, up_vals, low_vals)   # gradient of the dual
-    # bias from the KKT conditions: average y_i - sum_j a_j y_j K_ij over
-    # free support vectors, else the midpoint of the feasible interval
-    ky = y * (grad + 1.0)       # sum_j alpha_j y_j K_ij
-    free = (alpha > SV_EPS) & (alpha < c - SV_EPS)
+    grad = -yv * np.where(up, up_vals, low_vals)   # gradient of the dual
+    # bias from the KKT conditions: average y_u - sum_v A_v y_v K_uv over
+    # free variables, else the midpoint of the feasible interval
+    ky = yv * (grad + 1.0)       # sum_v A_v y_v K_uv
+    free = (alpha > SV_EPS) & (alpha < cap - SV_EPS)
     if free.any():
-        bias = float(np.mean(y[free] - ky[free]))
+        bias = float(np.mean(yv[free] - ky[free]))
     else:
         hi = up_vals.max() if up.any() else low_vals.min()
         lo = low_vals.min() if low.any() else up_vals.max()
         bias = float((hi + lo) / 2.0)
 
-    objective = float(0.5 * (alpha.sum() - alpha @ grad))
+    alpha = _row_alphas(alpha, var_of_row, counts, c)
+    objective = float(0.5 * (alpha.sum() - alpha @ grad[var_of_row]))
     sv = np.flatnonzero(alpha > SV_EPS)
     return SvmModel(
         kernel=config.kernel,
@@ -303,6 +354,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             "dual_objective": objective,
             "support_count": int(sv.size),
             "train_rows": n,
+            "distinct_rows": u,
             "positive_rows": npos,
         },
     )

@@ -134,7 +134,7 @@ def test_criterion_2_pfh_oracle_and_rigid_invariance(rng):
         xyz = rng.normal(size=(15, 3)) * 0.02
         normals = rng.normal(size=(15, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        ns = NormalSet(normals, np.zeros(15), np.ones(15, dtype=bool))
+        ns = NormalSet(normals, np.ones(15, dtype=bool))
         cloud = _cloud(xyz)
         hist = compute_pfh(0, cloud, ns, build_index(cloud), 1.0)
         want, npairs = _oracle_histogram(xyz, normals, 0, 1.0)
@@ -151,9 +151,8 @@ def test_criterion_2_pfh_oracle_and_rigid_invariance(rng):
         if np.linalg.det(q_mat) < 0:
             q_mat[:, 0] *= -1
         shift = rng.normal(size=3)
-        ns_a = NormalSet(normals, np.zeros(12), np.ones(12, dtype=bool))
-        ns_b = NormalSet(normals @ q_mat.T, np.zeros(12),
-                         np.ones(12, dtype=bool))
+        ns_a = NormalSet(normals, np.ones(12, dtype=bool))
+        ns_b = NormalSet(normals @ q_mat.T, np.ones(12, dtype=bool))
         ha = compute_pfh(0, _cloud(xyz), ns_a, build_index(_cloud(xyz)), 1.0)
         cloud_b = _cloud(xyz @ q_mat.T + shift)
         hb = compute_pfh(0, cloud_b, ns_b, build_index(cloud_b), 1.0)

@@ -290,9 +290,11 @@ class TestTrain:
         assert rc == 0
         meta = json.loads(model.read_text())["meta"]
         assert meta["converged"] is ("not" not in status)
+        out = capsys.readouterr().out
+        assert f"trained on {meta['train_rows']} rows " \
+            f"({meta['distinct_rows']} distinct) in " in out
         assert f"{status} after {meta['iterations']} iterations " \
-            f"({meta['kernel_rows']} kernel rows computed)" in \
-            capsys.readouterr().out
+            f"({meta['kernel_rows']} kernel rows computed)" in out
 
 
 class TestPredict:

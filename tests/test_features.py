@@ -154,7 +154,7 @@ class TestPfh:
             if trial % 3 == 0:
                 valid[rng.integers(0, len(valid), 3)] = False
             cloud = cloud_from(xyz)
-            ns = NormalSet(normals, np.zeros(len(xyz)), valid)
+            ns = NormalSet(normals, valid)
             index = build_index(cloud)
             radius = float(rng.uniform(0.01, 0.05))
             q = int(rng.integers(0, len(xyz)))
@@ -169,7 +169,7 @@ class TestPfh:
 
         xyz, normals, valid = self.make_scene(rng, n=30)
         cloud = cloud_from(xyz)
-        ns = NormalSet(normals, np.zeros(30), valid)
+        ns = NormalSet(normals, valid)
         hist = compute_pfh(3, cloud, ns, build_index(cloud), 0.05)
         assert hist.pair_count > 0
         for block in range(3):
@@ -182,7 +182,7 @@ class TestPfh:
         xyz, normals, valid = self.make_scene(rng)
         valid[4] = False
         cloud = cloud_from(xyz)
-        ns = NormalSet(normals, np.zeros(len(xyz)), valid)
+        ns = NormalSet(normals, valid)
         hist = compute_pfh(4, cloud, ns, build_index(cloud), 0.05)
         assert hist.pair_count == 0
         assert np.all(hist.bins == 0.0)
@@ -192,7 +192,7 @@ class TestPfh:
 
         xyz, normals, valid = self.make_scene(rng)
         cloud = cloud_from(xyz)
-        ns = NormalSet(normals, np.zeros(len(xyz)), valid)
+        ns = NormalSet(normals, valid)
         with pytest.raises(IndexError):
             compute_pfh(99, cloud, ns, build_index(cloud), 0.05)
 
@@ -201,7 +201,7 @@ class TestPfh:
 
         xyz, normals, valid = self.make_scene(rng)
         cloud = cloud_from(xyz)
-        ns = NormalSet(normals, np.zeros(len(xyz)), valid)
+        ns = NormalSet(normals, valid)
         other = build_index(cloud_from(xyz[:-1]))
         with pytest.raises(ValueError, match="disagree"):
             compute_pfh(0, cloud, ns, other, 0.05)
@@ -220,8 +220,8 @@ class TestPfh:
             shift = rng.normal(size=3)
             cloud_a = cloud_from(xyz)
             cloud_b = cloud_from(xyz @ q_mat.T + shift)
-            ns_a = NormalSet(normals, np.zeros(12), valid)
-            ns_b = NormalSet(normals @ q_mat.T, np.zeros(12), valid)
+            ns_a = NormalSet(normals, valid)
+            ns_b = NormalSet(normals @ q_mat.T, valid)
             ha = compute_pfh(0, cloud_a, ns_a, build_index(cloud_a), 0.04)
             hb = compute_pfh(0, cloud_b, ns_b, build_index(cloud_b), 0.04)
             assert ha.pair_count == hb.pair_count
@@ -239,7 +239,7 @@ class TestPfh:
         xy = rng.uniform(-0.02, 0.02, size=(60, 2))
         xyz = np.column_stack([xy, np.zeros(60)])
         cloud = cloud_from(xyz)
-        ns = NormalSet(np.tile([0.0, 0.0, 1.0], (60, 1)), np.zeros(60),
+        ns = NormalSet(np.tile([0.0, 0.0, 1.0], (60, 1)),
                        np.ones(60, dtype=bool))
         hist = compute_pfh(0, cloud, ns, build_index(cloud), 0.05)
         assert hist.pair_count > 0

@@ -122,7 +122,6 @@ class TestEstimateNormals:
         ns = estimate_normals(cloud, build_index(cloud), params)
         assert ns.valid.all()
         assert np.allclose(ns.normals, [0, 0, 1.0], atol=1e-9)
-        assert np.allclose(ns.curvature, 0.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(ns.normals, axis=1), 1.0, atol=1e-9)
 
     def test_sphere_cap_oriented_normals(self, rng):
@@ -138,13 +137,6 @@ class TestEstimateNormals:
         toward = params.viewpoint - cloud.xyz[ok]
         assert (np.einsum("ij,ij->i", ns.normals[ok], toward) >= 0).all()
 
-    def test_curvature_range_and_plane_vs_sphere(self, rng):
-        cloud, _dirs = sphere_cap_cloud(rng, n=1500)
-        ns = estimate_normals(cloud, build_index(cloud),
-                              NormalParams(radius_rn=0.01, viewpoint=[0, 0, 1.0]))
-        assert (ns.curvature >= 0).all() and (ns.curvature <= 1 / 3 + 1e-12).all()
-        assert ns.curvature[ns.valid].mean() > 1e-4   # curved surface
-
     def test_degenerate_neighbourhoods_flagged(self):
         # two isolated points and three collinear points
         xyz = [[0, 0, 0], [10, 0, 0],
@@ -155,7 +147,6 @@ class TestEstimateNormals:
         assert not ns.valid[0] and not ns.valid[1]     # < 3 members
         assert not ns.valid[2:].any()                  # collinear
         assert np.all(ns.normals[~ns.valid] == 0.0)
-        assert np.all(ns.curvature[~ns.valid] == 0.0)
 
     def test_rotation_equivariance(self, rng):
         cloud, _ = sphere_cap_cloud(rng, n=600)
@@ -173,7 +164,6 @@ class TestEstimateNormals:
         assert np.array_equal(ns.valid, rns.valid)
         ok = ns.valid
         assert np.allclose(rns.normals[ok], ns.normals[ok] @ rot.T, atol=1e-6)
-        assert np.allclose(rns.curvature[ok], ns.curvature[ok], atol=1e-9)
 
     def test_exact_tie_uses_canonical_sign(self):
         # plane seen edge-on: n . (vp - p) == 0 for every point, so the

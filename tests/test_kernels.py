@@ -397,7 +397,7 @@ class TestPfhNumpy:
             valid, nbr_idx, nbr_off, np.arange(n))])
         q = int(np.argmax(k))
         chunks = record_bin_chunks(monkeypatch)
-        hist = compute_pfh(q, cloud, NormalSet(normals, np.zeros(n), valid),
+        hist = compute_pfh(q, cloud, NormalSet(normals, valid),
                            index, radius)
         assert hist.pair_count > 0
         assert 0 < sum(chunks) <= k[q] * (k[q] - 1) // 2

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -353,6 +354,138 @@ class TestSmoAgainstReferenceLoop:
         assert bool(free.any()) is not fallback
 
 
+def repeated_problem(rng, base=40, d=3):
+    """base distinct rows, each repeated 2 to 5 times, in shuffled order,
+    and one more row: row 0's x under the other label."""
+    x = rng.normal(size=(base, d))
+    labels = (x[:, 0] + 0.5 * rng.normal(size=base) > 0).astype(np.int8)
+    pick = np.append(np.repeat(np.arange(base), rng.integers(2, 6, size=base)),
+                     0)
+    x, labels = x[pick], labels[pick]
+    labels[-1] = 1 - labels[-1]
+    order = rng.permutation(len(x))
+    return x[order], labels[order]
+
+
+def traced_row_alphas(monkeypatch):
+    """Records the per-row alphas train_svm expands its variables into."""
+    seen = []
+    expand = learn._row_alphas
+
+    def spy(*args):
+        seen.append(expand(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(learn, "_row_alphas", spy)
+    return seen
+
+
+def assert_copies_fill_in_order(alpha, xs, y, c):
+    """Among the rows of one (row, label) pair, in row order, every alpha is
+    C until one partial value, then 0."""
+    key = np.column_stack([xs, y])
+    _uniq, group = np.unique(key, axis=0, return_inverse=True)
+    for g in range(group.max() + 1):
+        a = alpha[group.ravel() == g]
+        full = np.count_nonzero(a == c)
+        assert np.all(a[:full] == c)
+        assert np.all(a[full + 1:] == 0.0)
+
+
+class TestDistinctRows:
+    """SMO runs over the distinct (scaled row, label) pairs, each bounded by
+    C times its count, and expands them into per-row alphas."""
+
+    def train(self, rng, monkeypatch, **kw):
+        x, labels = repeated_problem(rng)
+        config = TrainConfig(**{"kernel": KernelSpec("rbf", 0.5), "c": 1.0,
+                                "tolerance": 1e-6, "max_passes": 1000, **kw})
+        seen = traced_row_alphas(monkeypatch)
+        model = train_svm(matrix(x, labels), config)
+        assert len(seen) == 1
+        xs = model.scaling.apply(x)
+        y = np.where(labels == 1, 1.0, -1.0)
+        return model, config, xs, y, seen[0]
+
+    def test_one_variable_per_row_and_label(self, rng):
+        x, labels = repeated_problem(rng)
+        model = train_svm(matrix(x, labels), TrainConfig())
+        # 40 rows, one of them also under the other label
+        assert model.meta["distinct_rows"] == 41
+        assert model.meta["train_rows"] == len(x)
+
+    @pytest.mark.parametrize("max_passes, converges", [(1000, True),
+                                                        (1, False)])
+    def test_row_alphas_in_the_box_balanced_and_in_order(
+            self, rng, monkeypatch, max_passes, converges):
+        model, config, xs, y, alpha = self.train(rng, monkeypatch,
+                                                 max_passes=max_passes)
+        assert model.meta["converged"] is converges
+        assert np.all((alpha >= 0.0) & (alpha <= config.c))
+        assert abs(math.fsum((alpha * y).tolist())) <= 1e-9 * (1 + alpha.sum())
+        assert abs(math.fsum(model.dual_coefs.tolist())) \
+            <= 1e-9 * (1 + alpha.sum())
+        assert_copies_fill_in_order(alpha, xs, y, config.c)
+        # the model holds every row with alpha > SV_EPS, duplicates unmerged
+        sv = np.flatnonzero(alpha > SV_EPS)
+        assert np.array_equal(model.support_vectors, xs[sv])
+        assert np.array_equal(model.dual_coefs, alpha[sv] * y[sv])
+        assert len(np.unique(model.support_vectors, axis=0)) < len(sv)
+
+    def test_converged_model_meets_row_kkt_and_reference_objective(
+            self, rng, monkeypatch):
+        model, config, xs, y, alpha = self.train(rng, monkeypatch)
+        assert model.meta["converged"]
+        tol = 1e-3
+        f = gram(xs, config.kernel) @ (alpha * y) + model.bias
+        margins = y * f
+        at_zero = alpha <= 1e-9
+        at_c = alpha >= config.c - 1e-9
+        free = ~at_zero & ~at_c
+        assert free.any() and at_c.any()
+        assert np.all(margins[at_zero] >= 1.0 - tol)
+        assert np.all(margins[at_c] <= 1.0 + tol)
+        assert np.all(np.abs(margins[free] - 1.0) <= tol)
+        _a, _b, _it, converged, objective, _s = reference_smo(
+            xs, y, config.kernel, config.c, config.tolerance,
+            config.max_passes)
+        assert converged
+        assert model.meta["dual_objective"] == pytest.approx(
+            objective, rel=config.tolerance)
+
+    def test_fewer_variables_than_rows_but_the_same_iteration_cap(self, rng):
+        x, labels = repeated_problem(rng)
+        model = train_svm(matrix(x, labels),
+                          TrainConfig(kernel=KernelSpec("rbf", 0.5), c=100.0,
+                                      tolerance=1e-12, max_passes=1))
+        assert not model.meta["converged"]
+        assert model.meta["iterations"] == len(x)
+        assert model.meta["kernel_rows"] <= model.meta["distinct_rows"]
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0 / 3.0, 100.0])
+    def test_totals_just_below_a_multiple_of_c(self, c):
+        counts = np.array([3, 3, 2, 1, 4, 2, 5])
+        below = [np.nextafter(k * c, 0.0) for k in (3, 2, 1, 1, 4)]
+        totals = np.array(below + [0.0, 5 * c])
+        var_of_row = np.repeat(np.arange(len(counts)), counts)
+        var_of_row = var_of_row[np.random.default_rng(1).permutation(
+            len(var_of_row))]
+        alpha = learn._row_alphas(totals, var_of_row, counts, c)
+        assert np.all((alpha >= 0.0) & (alpha <= c))
+        for v, total in enumerate(totals):
+            a = alpha[var_of_row == v]
+            assert len(a) == counts[v]
+            full = np.count_nonzero(a == c)
+            assert np.all(a[:full] == c) and np.all(a[full + 1:] == 0.0)
+            assert math.fsum(a.tolist()) == pytest.approx(total, rel=1e-15,
+                                                          abs=0.0)
+        # a total of k C fills k copies, the last to rounding (k C - (k-1) C
+        # need not be C); one just below 2 C fills one and part of another
+        assert alpha[var_of_row == 6] == pytest.approx(np.full(5, c),
+                                                       rel=1e-15)
+        assert np.count_nonzero(alpha[var_of_row == 1] == c) == 1
+
+
 class TestGram:
     """The rows of _kernel_row, stacked into K."""
     kernels = [KernelSpec("linear", None), KernelSpec("rbf", 0.3)]
@@ -460,10 +593,36 @@ class TestBlockedScores:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the rows' scaled copy and its temporary, plus a few temporaries of
-        # one block: 4 MB over them is far below the 320 MB (N, m) kernel
-        # matrix, and a 4 MB block budget already peaks past it (rbf)
-        assert peak < 2 * x.nbytes + 4 * 2**20
+        # the rows' scaled copy, plus a few temporaries of one block: 4 MB
+        # over it is far below the 320 MB (N, m) kernel matrix, and a 4 MB
+        # block budget already peaks past it
+        assert peak < x.nbytes + 4 * 2**20
+
+
+class TestScalingApply:
+    def test_bits_and_rows_untouched(self, rng):
+        rows = 3.0 * rng.normal(size=(50, 6)) + 1.0
+        std = rng.uniform(0.5, 2.0, size=6)
+        std[2] = 0.0
+        stats = ScalingStats(rng.normal(size=6), std)
+        before = rows.copy()
+        got = stats.apply(rows)   # float64 rows: np.asarray aliases them
+        want = (before - stats.mean) / np.where(std == 0.0, 1.0, std)
+        want[:, 2] = 0.0
+        assert np.array_equal(got, want)
+        assert np.array_equal(rows, before)
+
+    def test_peak_is_one_copy_of_the_rows(self, rng):
+        rows = rng.normal(size=(20_000, 36))
+        stats = ScalingStats(rows.mean(axis=0), rows.std(axis=0))
+        tracemalloc.start()
+        try:
+            stats.apply(rows)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result itself; a temporary beside it would double the peak
+        assert peak < 1.25 * rows.nbytes
 
 
 class TestRowCache:
@@ -590,6 +749,7 @@ class TestMaxPassesReport:
         assert len(warnings) == 1
         message = warnings[0].getMessage()
         assert "max_passes=1" in message and "40 iterations" in message
+        assert "on 40 rows (40 distinct)" in message
         assert f"({model.meta['kernel_rows']} kernel rows computed)" in message
 
     def test_silent_when_converged(self, rng, caplog):
@@ -769,6 +929,7 @@ class TestModelFile:
         for key in ("schema_version", "kernel", "gamma", "c", "scaling",
                     "support_vectors", "dual_coefs", "bias", "meta"):
             assert key in doc
+        assert doc["meta"]["distinct_rows"] == 10
         assert doc["schema_version"] == 1
         assert set(doc["scaling"]) == {"mean", "std"}
         # files written before support-vector indices left the meta still load
