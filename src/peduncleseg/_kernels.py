@@ -1,5 +1,5 @@
-"""The hot numeric kernels, in numpy: PFH pair histograms and neighbourhood
-moments.
+"""The hot numeric kernels, in numpy: PFH pair histograms, the mask of
+points with a scorable pair of their own, and neighbourhood moments.
 
 The PFH kernel works over a table of unique pairs.  Members lie within
 the radius the lists were built with, so by the triangle inequality two
@@ -234,6 +234,25 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
         counts[sel, 2 * NBINS:] = phi_theta.sum(axis=1)
         pair_counts[sel] = alpha.sum(axis=1)
     return counts, pair_counts
+
+
+def own_pair_scorable(xyz, normals, valid, nbr_idx, nbr_off):
+    """Mask of the points with a pair of their own in the CSR neighbour
+    lists, both ends valid, that the PFH histograms count (code not
+    ``_SKIP``).  Each such pair is binned once, lower index first as
+    ``pfh_pair_histograms`` bins it, ``_BIN_BATCH`` pairs at a time, and
+    marks both its ends."""
+    n = xyz.shape[0]
+    q = np.repeat(np.arange(n), np.diff(nbr_off))
+    own = (q < nbr_idx) & valid[q] & valid[nbr_idx]
+    lo, hi = q[own], nbr_idx[own]
+    marked = np.zeros(n, dtype=bool)
+    for s in range(0, lo.size, _BIN_BATCH):
+        a, b = lo[s:s + _BIN_BATCH], hi[s:s + _BIN_BATCH]
+        hit = _bin_codes(a, b, xyz, normals) != _SKIP
+        marked[a[hit]] = True
+        marked[b[hit]] = True
+    return marked
 
 
 _MOMENT_BATCH = 1 << 14     # members per moments batch

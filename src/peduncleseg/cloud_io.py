@@ -117,7 +117,6 @@ class PointCloud:
     xyz: np.ndarray
     rgb: np.ndarray
     labels: np.ndarray
-    frame_id: str = ""
 
     def __post_init__(self):
         self.xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
@@ -141,8 +140,7 @@ class PointCloud:
 
     def select(self, index):
         """Subset by boolean mask or index array, preserving order."""
-        return PointCloud(self.xyz[index], self.rgb[index], self.labels[index],
-                          self.frame_id)
+        return PointCloud(self.xyz[index], self.rgb[index], self.labels[index])
 
     def with_labels(self, labels):
         return replace(self, labels=np.asarray(labels, dtype=np.int8))
@@ -278,7 +276,7 @@ def read_cloud(path) -> PointCloud:
     else:
         labels = np.full(npoints, UNLABELLED, dtype=np.int8)
 
-    return PointCloud(xyz, rgb.astype(np.uint8), labels, frame_id=path.stem)
+    return PointCloud(xyz, rgb.astype(np.uint8), labels)
 
 
 def write_cloud(cloud: PointCloud, path) -> None:

@@ -79,13 +79,17 @@ class FeatureMatrix:
         return len(self.values)
 
 
-def _pfh_rows(cloud, normals, index, radius_ri, queries):
-    """Normalised PFH rows and pair counts of ``queries``, read from the
-    index's radius CSR."""
+def _check_inputs(cloud, normals, index, radius_ri):
     if radius_ri <= 0:
         raise ValueError("radius_ri must be > 0")
     if len(normals) != len(cloud) or len(index) != len(cloud):
         raise ValueError("cloud, normals and index disagree on point count")
+
+
+def _pfh_rows(cloud, normals, index, radius_ri, queries):
+    """Normalised PFH rows and pair counts of ``queries``, read from the
+    index's radius CSR."""
+    _check_inputs(cloud, normals, index, radius_ri)
     counts, pairs = _kernels.pfh_pair_histograms(
         cloud.xyz, normals.normals, normals.valid,
         *index.radius_neighbors_csr(radius_ri), radius_ri, queries)
@@ -110,29 +114,61 @@ def compute_pfh(query_index: int, cloud: PointCloud, normals: NormalSet,
     return PfhHistogram(hist[0], int(pairs[0]))
 
 
+def _scorable(cloud, normals, index, radius_ri):
+    """The rows of extract_features' ``valid``, without counting histograms.
+
+    A valid point's PFH has a scorable pair as soon as one of its own pairs
+    with a valid neighbour is scorable.  Only the valid points with no such
+    pair, whose scorable pairs can lie between two other neighbours, are
+    counted.
+    """
+    _check_inputs(cloud, normals, index, radius_ri)
+    ok = normals.valid
+    marked = _kernels.own_pair_scorable(
+        cloud.xyz, normals.normals, ok,
+        *index.radius_neighbors_csr(radius_ri))
+    rest = np.flatnonzero(ok & ~marked)
+    if rest.size:
+        _hist, pairs = _pfh_rows(cloud, normals, index, radius_ri, rest)
+        marked[rest] = pairs > 0
+    return ok & marked
+
+
 def extract_features(cloud: PointCloud, normals: NormalSet,
-                     index: SpatialIndex, radius_ri: float) -> FeatureMatrix:
+                     index: SpatialIndex, radius_ri: float,
+                     feature_set: str = "full") -> FeatureMatrix:
     """Assemble the (N, 36) feature matrix for a whole cloud.
 
-    Rows whose query point has an invalid normal, or whose neighbourhood
-    yields no scorable pair, are flagged valid=False (their PFH block is
-    zero; the HSV block is still filled).
+    Only the columns of ``feature_set`` (full, hsv or pfh) are filled; the
+    others stay zero, so ``select_features`` of that set reads the same
+    values as from the full matrix, and the PFH is counted only when the
+    set holds it.  Rows whose query point has an invalid normal, or whose
+    neighbourhood yields no scorable pair, are flagged valid=False (their
+    PFH block is zero); ``valid`` is the same whatever the set.
     """
+    cols = _columns(feature_set)
     n = len(cloud)
-    hist, pairs = _pfh_rows(cloud, normals, index, radius_ri,
-                            np.arange(n, dtype=np.int64))
     values = np.zeros((n, FEATURE_DIM))
-    values[:, :3] = rgb_to_hsv(cloud.rgb)
-    values[:, 3:] = hist
-    valid = normals.valid & (pairs > 0)
+    if cols.start < 3:
+        values[:, :3] = rgb_to_hsv(cloud.rgb)
+    if cols.stop > 3:
+        hist, pairs = _pfh_rows(cloud, normals, index, radius_ri,
+                                np.arange(n, dtype=np.int64))
+        values[:, 3:] = hist
+        valid = normals.valid & (pairs > 0)
+    else:
+        valid = _scorable(cloud, normals, index, radius_ri)
     return FeatureMatrix(values, cloud.labels.copy(), valid)
+
+
+def _columns(subset):
+    if subset not in FEATURE_SLICES:
+        raise ValueError(f"unknown feature subset {subset!r}; expected one of "
+                         + ", ".join(sorted(FEATURE_SLICES)))
+    return FEATURE_SLICES[subset]
 
 
 def select_features(features: FeatureMatrix, subset: str) -> FeatureMatrix:
     """Restrict the descriptor to a named column block: full, hsv or pfh."""
-    if subset not in FEATURE_SLICES:
-        raise ValueError(f"unknown feature subset {subset!r}; expected one of "
-                         + ", ".join(sorted(FEATURE_SLICES)))
-    cols = FEATURE_SLICES[subset]
-    return FeatureMatrix(features.values[:, cols], features.labels,
+    return FeatureMatrix(features.values[:, _columns(subset)], features.labels,
                          features.valid)

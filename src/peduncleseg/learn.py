@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud_io import read_text, replaced
-from .features import FEATURE_SLICES, FeatureMatrix, select_features
+from .features import FEATURE_SLICES, FeatureMatrix
 
 log = logging.getLogger(__name__)
 
@@ -387,16 +387,16 @@ def decision_scores(model: SvmModel, features) -> np.ndarray:
     return scores
 
 
-def model_features(model: SvmModel, features: FeatureMatrix) -> FeatureMatrix:
-    """The columns of features named by model.meta's feature_set; raises
-    ModelFormatError when their width is not the model's vector width."""
+def model_feature_set(model: SvmModel) -> str:
+    """The feature set named by model.meta; raises ModelFormatError when its
+    width is not the model's vector width, before any scene is featurised."""
     subset = model.meta.get("feature_set", "full")
-    rows = select_features(features, subset)
-    got, width = rows.values.shape[1], model.support_vectors.shape[1]
+    cols = FEATURE_SLICES[subset]
+    got, width = cols.stop - cols.start, model.support_vectors.shape[1]
     if got != width:
         raise ModelFormatError(f"model meta names feature set {subset!r} of "
                                f"{got} columns, but its vectors have {width}")
-    return rows
+    return subset
 
 
 def predict_parallel(model: SvmModel, features, workers: int = 1):

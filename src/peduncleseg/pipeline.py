@@ -17,11 +17,13 @@ from .preprocess import remove_statistical_outliers, voxel_downsample
 log = logging.getLogger(__name__)
 
 
-def scene_features(cloud: PointCloud, cfg: PipelineConfig):
+def scene_features(cloud: PointCloud, cfg: PipelineConfig,
+                   feature_set: str = "full"):
     """Run one cloud through the full feature pipeline.
 
     Returns (processed_cloud, features); the feature matrix is aligned with
     the processed (outlier-filtered, downsampled) cloud, not the input.
+    Only the columns of ``feature_set`` are filled (see extract_features).
     """
     t0 = time.perf_counter()
     filtered = remove_statistical_outliers(cloud, cfg.outlier)
@@ -40,28 +42,34 @@ def scene_features(cloud: PointCloud, cfg: PipelineConfig):
     log.info("normal estimation: %d points, %d valid (%.2fs)",
              len(sampled), int(normals.valid.sum()), t3 - t2)
 
-    features = extract_features(sampled, normals, index, cfg.radius_ri)
+    features = extract_features(sampled, normals, index, cfg.radius_ri,
+                                feature_set)
     t4 = time.perf_counter()
     log.info("feature extraction: %d rows, %d valid (%.2fs)",
              len(features), int(features.valid.sum()), t4 - t3)
     return sampled, features
 
 
-def manifest_scene_features(manifest: DatasetManifest, cfg: PipelineConfig):
+def manifest_scene_features(manifest: DatasetManifest, cfg: PipelineConfig,
+                            feature_set: str = "full"):
     """Read and featurise each scene of the manifest in order.
 
-    Yields (entry, features) per entry; the features are the full 36-d rows
-    of scene_features.
+    Yields (entry, features) per entry; the features are the 36-d rows of
+    scene_features, filled in the columns of ``feature_set``.
     """
     for entry in manifest.entries:
         log.info("processing scene %s", entry.path)
-        _cloud, fm = scene_features(read_cloud(manifest.resolve(entry)), cfg)
+        _cloud, fm = scene_features(read_cloud(manifest.resolve(entry)), cfg,
+                                    feature_set)
         yield entry, fm
 
 
-def pooled_features(manifest: DatasetManifest, cfg: PipelineConfig) -> FeatureMatrix:
-    """Concatenate feature rows of every scene in the manifest (full 36-d)."""
-    scenes = [fm for _entry, fm in manifest_scene_features(manifest, cfg)]
+def pooled_features(manifest: DatasetManifest, cfg: PipelineConfig,
+                    feature_set: str = "full") -> FeatureMatrix:
+    """Concatenate the 36-d feature rows of every scene in the manifest,
+    filled in the columns of ``feature_set``."""
+    scenes = [fm for _entry, fm in manifest_scene_features(manifest, cfg,
+                                                           feature_set)]
     return FeatureMatrix(np.concatenate([fm.values for fm in scenes]),
                          np.concatenate([fm.labels for fm in scenes]),
                          np.concatenate([fm.valid for fm in scenes]))
@@ -71,14 +79,15 @@ def assemble_training_matrix(source, cfg: PipelineConfig,
                              train_config: TrainConfig | None = None) -> FeatureMatrix:
     """Build the training pool: labelled, valid rows, capped and sliced.
 
-    ``source`` is a DatasetManifest (scenes are processed here) or an
-    already-pooled full-width FeatureMatrix.  Rows beyond cfg.max_train_rows
+    ``source`` is a DatasetManifest (scenes are processed here, filling only
+    the train config's feature set) or an already-pooled full-width
+    FeatureMatrix.  Rows beyond cfg.max_train_rows
     are subsampled per class with the training seed, keeping class
     proportions; the feature subset of the train config is then applied.
     """
     train_config = train_config or cfg.train
     full = source if isinstance(source, FeatureMatrix) \
-        else pooled_features(source, cfg)
+        else pooled_features(source, cfg, train_config.feature_set)
     usable = (full.labels >= 0) & full.valid
     if not usable.any():
         raise TrainingError("no labelled rows with valid descriptors")

@@ -79,4 +79,4 @@ def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
     labelled = (votes0 + votes1) > 0
     labels[labelled] = 0
     labels[votes1 > votes0] = 1
-    return PointCloud(centroid, rgb, labels, frame_id=cloud.frame_id)
+    return PointCloud(centroid, rgb, labels)

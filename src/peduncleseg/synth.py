@@ -111,7 +111,7 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
         np.zeros(spec.points_body, dtype=np.int8),
         np.ones(spec.points_peduncle, dtype=np.int8),
     ])
-    return PointCloud(xyz, rgb, labels, frame_id=f"synth-{spec.seed}")
+    return PointCloud(xyz, rgb, labels)
 
 
 # hue presets for the dataset colour tags; "mixed" alternates per scene

@@ -9,7 +9,9 @@ import pytest
 from peduncleseg import (CloudFormatError, ConfigError, KernelSpec,
                          NormalParams, OutlierParams, PipelineConfig,
                          TrainConfig, VoxelParams, cli, load_pipeline_config,
-                         read_cloud, read_manifest)
+                         pipeline, read_cloud, read_manifest)
+
+from clouds import record_calls
 
 CONFIG_INI = """\
 [outlier]
@@ -347,7 +349,8 @@ class TestPredict:
         assert "bogus" in capsys.readouterr().err
 
     def test_feature_set_width_mismatch_exit_4(self, workdir, tmp_path,
-                                               capsys):
+                                               capsys, monkeypatch):
+        featurised = record_calls(monkeypatch, cli, "scene_features")
         hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
         out = tmp_path / "out.cloud"
         rc = cli.main(["--config", workdir["cfg"], "predict", str(hsv),
@@ -356,12 +359,47 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "'hsv' of 3 columns" in err and "vectors have 36" in err
         assert not out.exists()
+        assert featurised == []
 
     def test_missing_cloud_exit_3(self, workdir, tmp_path):
         rc = cli.main(["--config", workdir["cfg"], "predict",
                        workdir["model"], str(tmp_path / "nope.cloud"),
                        str(tmp_path / "out.cloud")])
         assert rc == 3
+
+
+class TestFeatureSetRuns:
+    """An hsv model's train, evaluate and predict fill the hsv columns only,
+    and write the bytes of featurising in full and then selecting."""
+
+    @staticmethod
+    def run_hsv(workdir, out):
+        out.mkdir()
+        cfg = out / "pipeline.ini"
+        cfg.write_text(CONFIG_INI.replace("c = 10\n",
+                                          "c = 10\nfeature_set = hsv\n"))
+        model = out / "model.json"
+        for argv in (["train", workdir["manifest"], str(model)],
+                     ["evaluate", str(model), workdir["manifest"],
+                      str(out / "reports")],
+                     ["predict", str(model),
+                      str(workdir["data"] / "scene-000.cloud"),
+                      str(out / "pred.cloud")]):
+            assert cli.main(["--config", str(cfg)] + argv) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_outputs_match_full_then_select(self, workdir, tmp_path,
+                                            monkeypatch):
+        extract = pipeline.extract_features
+        calls = record_calls(monkeypatch, pipeline, "extract_features")
+        got = self.run_hsv(workdir, tmp_path / "hsv")
+        assert {args[-1] for args in calls} == {"hsv"}
+        monkeypatch.setattr(pipeline, "extract_features",
+                            lambda *args: extract(*args[:-1], "full"))
+        want = self.run_hsv(workdir, tmp_path / "full")
+        assert "reports/report.json" in got and "pred_scores.csv" in got
+        assert got == want
 
 
 class TestEvaluate:
@@ -390,7 +428,8 @@ class TestEvaluate:
         assert "bogus" in capsys.readouterr().err
 
     def test_feature_set_width_mismatch_exit_4(self, workdir, tmp_path,
-                                               capsys):
+                                               capsys, monkeypatch):
+        featurised = record_calls(monkeypatch, pipeline, "scene_features")
         hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
         reports = tmp_path / "reports"
         rc = cli.main(["--config", workdir["cfg"], "evaluate", str(hsv),
@@ -399,6 +438,7 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "'hsv' of 3 columns" in err and "vectors have 36" in err
         assert not reports.exists()
+        assert featurised == []
 
     def test_no_labelled_points_exit_4(self, workdir, tmp_path, capsys):
         from peduncleseg import write_cloud

@@ -1,4 +1,6 @@
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +257,68 @@ class TestManifest:
         p.write_bytes(text.encode("utf-8"))
         with pytest.raises(ManifestError, match=message):
             read_manifest(p)
+
+
+# what opens, reads or writes a file: the builtin open, these methods of
+# paths, file objects, numpy and io, these os functions, and these modules
+_FILE_METHODS = {"open", "fdopen", "read", "readline", "readlines",
+                 "read_text", "read_bytes", "write_text", "write_bytes",
+                 "load", "loadtxt", "genfromtxt", "fromfile", "save", "savez",
+                 "savez_compressed", "savetxt", "tofile", "memmap"}
+_OS_FILE_CALLS = {"open", "fdopen", "replace", "rename", "remove", "unlink"}
+_FILE_MODULES = {"configparser", "mmap", "pickle", "shelve", "shutil",
+                 "tempfile"}
+
+
+def file_access(source):
+    """(line, name) of each place in ``source`` that opens, reads or writes
+    a file itself rather than through cloud_io."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] in _FILE_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in _FILE_MODULES:
+                found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                hit = f.id == "open"
+            elif isinstance(f, ast.Attribute):
+                owner = f.value.id if isinstance(f.value, ast.Name) else None
+                hit = (f.attr in _OS_FILE_CALLS if owner == "os"
+                       else f.attr in _FILE_METHODS and owner != "cloud_io")
+            else:
+                hit = False
+            if hit:
+                found.append((node.lineno, ast.unparse(f)))
+    return found
+
+
+class TestOneFileLayer:
+    """Every file the package opens, reads or writes goes through cloud_io."""
+
+    def test_no_other_module_touches_files(self):
+        package = Path(cloud_io.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 5
+        found = {m.name: file_access(m.read_text(encoding="utf-8"))
+                 for m in modules if m.name != "cloud_io.py"}
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
+    @pytest.mark.parametrize("source", [
+        "open(p)", "Path(p).write_text(t)", "fh = p.open('w')",
+        "np.savetxt(p, a)", "np.load(p)", "json.load(fh)", "os.replace(a, b)",
+        "import shutil", "from tempfile import mkstemp",
+    ])
+    def test_finds_file_access(self, source):
+        assert file_access(source) != []
+
+    @pytest.mark.parametrize("source", [
+        "fh.write(t)", "json.dump(d, fh)", "read_text(p, E)",
+        "cloud_io.read_text(p, E)", "io.StringIO(t)", "os.makedirs(d)",
+        "s.replace(',', ';')", "import os",
+    ])
+    def test_passes_layer_calls(self, source):
+        assert file_access(source) == []

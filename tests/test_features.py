@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from peduncleseg import (NormalParams, PipelineConfig, PointCloud, SceneSpec,
-                         build_index, compute_pfh, estimate_normals,
-                         extract_features, generate_scene, rgb_to_hsv,
-                         scene_features, select_features)
-from peduncleseg.features import FEATURE_DIM, HIST_BINS
+from peduncleseg import (NormalParams, NormalSet, PipelineConfig, PointCloud,
+                         SceneSpec, SpatialIndex, build_index, compute_pfh,
+                         estimate_normals, extract_features, generate_scene,
+                         rgb_to_hsv, scene_features, select_features)
+from peduncleseg import _kernels
+from peduncleseg.features import FEATURE_DIM, FEATURE_SLICES, HIST_BINS
 
+from clouds import clustered_scene, edge_case_scene, record_calls, scene
 from darboux import DegeneratePairError, darboux_features
 
 
@@ -339,3 +341,76 @@ class TestExtractFeatures:
                               fm.values[:, 3:])
         with pytest.raises(ValueError):
             select_features(fm, "hsvpfh")
+
+
+def isolated_scene(rng):
+    """A kernel scene (see ``clouds``) where some points have no neighbour
+    in radius, two have each other, and one has only a neighbour whose
+    normal is invalid."""
+    xyz = np.vstack([rng.normal(size=(30, 3)) * 0.01,
+                     [[1.0, 0, 0], [2.0, 0, 0], [2.004, 0, 0], [3.0, 0, 0],
+                      [4.0, 0, 0], [4.004, 0, 0]]])
+    normals = rng.normal(size=xyz.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    valid = np.ones(len(xyz), dtype=bool)
+    valid[-1] = False
+    return (xyz, normals, valid,
+            *SpatialIndex(xyz).radius_neighbors_csr(0.01), 0.01)
+
+
+def fallback_scene(_rng):
+    """A kernel scene where point 0 lies on its own normal's line (z) with
+    two neighbours on that line whose normals are x and y: both its own
+    pairs bin to _SKIP, and the pair of its two neighbours does not."""
+    xyz = np.array([[0.0, 0, 0], [0, 0, 0.002], [0, 0, 0.004]])
+    normals = np.eye(3)[[2, 0, 1]]
+    return (xyz, normals, np.ones(3, dtype=bool),
+            *SpatialIndex(xyz).radius_neighbors_csr(0.01), 0.01)
+
+
+class TestFeatureSets:
+    """extract_features fills only the named set's columns and flags the
+    same rows valid in every set."""
+
+    @staticmethod
+    def features(build, rng, feature_set):
+        xyz, normals, valid, _idx, _off, radius = build(rng)
+        rgb = rng.integers(0, 256, size=xyz.shape).astype(np.uint8)
+        cloud = cloud_from(xyz, rgb=rgb)
+        return extract_features(cloud, NormalSet(normals, valid),
+                                SpatialIndex(xyz), radius, feature_set)
+
+    @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene,
+                                       isolated_scene, fallback_scene])
+    @pytest.mark.parametrize("feature_set", ["hsv", "pfh"])
+    def test_valid_and_columns_match_full(self, build, feature_set):
+        full = self.features(build, np.random.default_rng(7), "full")
+        part = self.features(build, np.random.default_rng(7), feature_set)
+        assert np.array_equal(part.valid, full.valid)
+        cols = FEATURE_SLICES[feature_set]
+        assert np.array_equal(part.values[:, cols], full.values[:, cols])
+        rest = np.ones(FEATURE_DIM, dtype=bool)
+        rest[cols] = False
+        assert not part.values[:, rest].any()
+
+    def test_isolated_points_are_invalid(self, rng):
+        fm = self.features(isolated_scene, rng, "hsv")
+        assert fm.valid[30:].tolist() == [False, True, True, False, False,
+                                          False]
+
+    def test_fallback_counts_only_unmarked_points(self, rng, monkeypatch):
+        calls = record_calls(monkeypatch, _kernels, "pfh_pair_histograms")
+        fm = self.features(fallback_scene, rng, "hsv")
+        assert fm.valid.all()
+        assert [args[-1].tolist() for args in calls] == [[0]]
+
+    def test_hsv_scene_never_counts_every_query(self, monkeypatch):
+        calls = record_calls(monkeypatch, _kernels, "pfh_pair_histograms")
+        sampled, fm = scene_features(generate_scene(SceneSpec(seed=3)),
+                                     PipelineConfig(), "hsv")
+        assert fm.values.shape == (len(sampled), FEATURE_DIM)
+        assert all(args[-1].size < len(sampled) for args in calls)
+
+    def test_unknown_set_rejected(self, rng):
+        with pytest.raises(ValueError, match="hsvpfh"):
+            self.features(scene, rng, "hsvpfh")

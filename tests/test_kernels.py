@@ -7,13 +7,14 @@ import pytest
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from peduncleseg import (KernelSpec, NormalSet, PointCloud, SpatialIndex,
+from peduncleseg import (KernelSpec, NormalSet, PointCloud,
                          build_index, compute_pfh, decision_scores)
 from peduncleseg import _kernels
 from peduncleseg._kernels import (ALPHA_SCALE, DEGENERATE_CROSS_SQ, NBINS,
                                   THETA_SCALE)
 from peduncleseg.learn import ScalingStats, SvmModel
 
+from clouds import clustered_scene, edge_case_scene, scene
 from darboux import DegeneratePairError, darboux_features
 
 
@@ -139,42 +140,6 @@ def query_members(valid, nbr_idx, nbr_off, queries):
     members = [nbr_idx[nbr_off[q]:nbr_off[q + 1]] if valid[q]
                else np.empty(0, dtype=np.int64) for q in queries]
     return [m[valid[m]] for m in members]
-
-
-def scene(rng, n=300, radius=0.015):
-    xyz = rng.normal(size=(n, 3)) * 0.02
-    normals = rng.normal(size=(n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    valid = rng.random(n) > 0.05
-    nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(radius)
-    return xyz, normals, valid, nbr_idx, nbr_off, radius
-
-
-def edge_case_scene(rng, n=60, radius=0.012):
-    """A small cloud holding every pair the PFH kernels must skip."""
-    xyz = rng.normal(size=(n, 3)) * 0.01
-    normals = rng.normal(size=(n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    valid = np.ones(n, dtype=bool)
-    valid[[4, 9]] = False                  # invalid normals
-    xyz[7] = xyz[3]                        # duplicated point: d2 == 0
-    xyz[1] = xyz[0] + [0.002, 0.001, 0.0]  # source normal along the join line
-    normals[0] = (xyz[1] - xyz[0]) / np.linalg.norm(xyz[1] - xyz[0])
-    nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(radius)
-    return xyz, normals, valid, nbr_idx, nbr_off, radius
-
-
-def clustered_scene(rng, clusters=5, size=8):
-    """Tight, far-apart clusters: within a cluster every point is inside
-    every neighbourhood, and no neighbourhood reaches another cluster."""
-    centres = np.arange(clusters)[:, None] * [1.0, 0.0, 0.0]
-    xyz = np.repeat(centres, size, axis=0) + rng.normal(size=(clusters * size, 3)) * 1e-3
-    normals = rng.normal(size=xyz.shape)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    valid = np.ones(len(xyz), dtype=bool)
-    nbr_idx, nbr_off = SpatialIndex(xyz).radius_neighbors_csr(0.1)
-    assert np.all(np.diff(nbr_off) == size)
-    return xyz, normals, valid, nbr_idx, nbr_off, 0.1
 
 
 def record_batches(monkeypatch):
