@@ -126,6 +126,15 @@ def _bin_codes(i_arr, j_arr, xyz, normals):
     return codes
 
 
+def _pair_codes(i_arr, j_arr, xyz, normals):
+    """``_bin_codes`` of every pair (i, j), ``_BIN_BATCH`` pairs at a time."""
+    codes = np.empty(i_arr.size, dtype=np.uint16)
+    for s in range(0, i_arr.size, _BIN_BATCH):
+        chunk = slice(s, s + _BIN_BATCH)
+        codes[chunk] = _bin_codes(i_arr[chunk], j_arr[chunk], xyz, normals)
+    return codes
+
+
 def _pack_bins(alpha, phi, theta):
     """Packed code ``ba * 121 + bp * 11 + bt`` of angle triples.
 
@@ -199,9 +208,7 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
         return counts, pair_counts
 
     pair_j, pair_i = _pair_table(xyz, members, radius)
-    codes = np.concatenate([_bin_codes(pair_i[s:s + _BIN_BATCH],
-                                       pair_j[s:s + _BIN_BATCH], xyz, normals)
-                            for s in range(0, pair_i.size, _BIN_BATCH)])
+    codes = _pair_codes(pair_i, pair_j, xyz, normals)
     # table pairs by larger end: those of point j are row_off[j]:row_off[j + 1]
     row_off = np.concatenate(([0], np.cumsum(np.bincount(pair_j, minlength=n))))
     pos_a, pos_b = _pair_positions(int(k.max()))
@@ -240,18 +247,15 @@ def own_pair_scorable(xyz, normals, valid, nbr_idx, nbr_off):
     """Mask of the points with a pair of their own in the CSR neighbour
     lists, both ends valid, that the PFH histograms count (code not
     ``_SKIP``).  Each such pair is binned once, lower index first as
-    ``pfh_pair_histograms`` bins it, ``_BIN_BATCH`` pairs at a time, and
-    marks both its ends."""
+    ``pfh_pair_histograms`` bins it, and marks both its ends."""
     n = xyz.shape[0]
     q = np.repeat(np.arange(n), np.diff(nbr_off))
     own = (q < nbr_idx) & valid[q] & valid[nbr_idx]
     lo, hi = q[own], nbr_idx[own]
+    hit = _pair_codes(lo, hi, xyz, normals) != _SKIP
     marked = np.zeros(n, dtype=bool)
-    for s in range(0, lo.size, _BIN_BATCH):
-        a, b = lo[s:s + _BIN_BATCH], hi[s:s + _BIN_BATCH]
-        hit = _bin_codes(a, b, xyz, normals) != _SKIP
-        marked[a[hit]] = True
-        marked[b[hit]] = True
+    marked[lo[hit]] = True
+    marked[hi[hit]] = True
     return marked
 
 

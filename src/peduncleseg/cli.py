@@ -22,10 +22,8 @@ from .cloud_io import (CloudFormatError, ManifestError, ManifestEntry,
 from .config import ConfigError, PipelineConfig, load_pipeline_config
 from .evaluation import (EvaluationError, SplitSpec, evaluate, split_dataset,
                          sweep, write_curve_csv, write_report_json)
-from .features import select_features
 from .learn import (KernelSpec, ModelFormatError, TrainConfig, TrainingError,
-                    load_model, model_feature_set, predict_parallel,
-                    save_model, train_svm)
+                    load_model, predict_parallel, save_model, train_svm)
 from .pipeline import assemble_training_matrix, scene_features
 from .synth import SceneSpecError, generate_scene, load_scene_request, \
     scene_for_colour
@@ -78,11 +76,10 @@ def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
 def cmd_predict(config: PipelineConfig, model_path, cloud_path, out_path,
                 workers: int = 1) -> int:
     model = load_model(model_path)
-    feature_set = model_feature_set(model)
     cloud = read_cloud(cloud_path)
-    processed, features = scene_features(cloud, config, feature_set)
-    labels, scores, elapsed = predict_parallel(
-        model, select_features(features, feature_set), workers)
+    processed, features = scene_features(
+        cloud, config, model.meta.get("feature_set", "full"))
+    labels, scores, elapsed = predict_parallel(model, features, workers)
     write_cloud(processed.with_labels(labels), out_path)
     write_scores_csv(scores, labels,
                      os.path.splitext(out_path)[0] + "_scores.csv")

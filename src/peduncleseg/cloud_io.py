@@ -202,11 +202,13 @@ def read_cloud(path) -> PointCloud:
     """
     path = Path(path)
     try:
-        lines = read_text(path, CloudFormatError).splitlines()
+        text = read_text(path, CloudFormatError)
     except CloudFormatError as exc:
         bad = exc.__cause__   # the UnicodeDecodeError over the file's bytes
         raise CloudFormatError(
             str(exc), bad.object.count(b"\n", 0, bad.start) + 1) from bad
+    # "\n" only, as read_manifest; a final newline ends the last line
+    lines = text.removesuffix("\n").split("\n") if text else []
     if len(lines) < 2:
         raise CloudFormatError("missing FIELDS/POINTS header", 1)
 

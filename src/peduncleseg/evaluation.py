@@ -11,7 +11,7 @@ import numpy as np
 from .cloud_io import DatasetManifest, format_rows, replaced
 from .features import select_features
 from .learn import (SvmModel, TrainConfig, TrainingError, decision_scores,
-                    model_feature_set, train_svm)
+                    train_svm)
 from .pipeline import (assemble_training_matrix, manifest_scene_features,
                        pooled_features)
 
@@ -150,10 +150,9 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
     A slice whose pooled points are single-class is skipped with a warning.
     Scenes are featurised in the model's feature set only.
     """
-    feature_set = model_feature_set(model)
     scenes = []   # (entry, scores, labels) of each scene with labelled points
-    for entry, fm in manifest_scene_features(test, pipeline, feature_set):
-        fm = select_features(fm, feature_set)
+    for entry, fm in manifest_scene_features(
+            test, pipeline, model.meta.get("feature_set", "full")):
         keep = fm.labels >= 0
         if not keep.any():
             log.warning("scene %s has no labelled points, skipping", entry.path)

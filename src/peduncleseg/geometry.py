@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import _kernels
@@ -59,9 +58,9 @@ class SpatialIndex:
         ``radius`` inclusive, self included, ascending, are
         indices[offsets[i]:offsets[i+1]].  The rows are built from arrays:
         the tree's pairs (i, j), i < j, are mirrored, every point joins its
-        own row, and one sparse CSR matrix sorts the rows.  They are built
-        once per radius and shared by every caller, so both arrays are
-        read-only.
+        own row, and one sort of the unique keys ``i * N + j`` orders them
+        by row, then column.  They are built once per radius and shared by
+        every caller, so both arrays are read-only.
         """
         radius = float(radius)
         csr = self._csr.get(radius)
@@ -71,11 +70,9 @@ class SpatialIndex:
             own = np.arange(n)
             rows = np.concatenate((pairs[:, 0], pairs[:, 1], own))
             cols = np.concatenate((pairs[:, 1], pairs[:, 0], own))
-            adjacency = sparse.csr_matrix(
-                (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-            adjacency.sort_indices()
-            indices = adjacency.indices.astype(np.int64)
-            offsets = adjacency.indptr.astype(np.int64)
+            indices = np.sort(rows * n + cols) % n
+            offsets = np.concatenate(
+                ([0], np.cumsum(np.bincount(rows, minlength=n))))
             indices.flags.writeable = False
             offsets.flags.writeable = False
             csr = self._csr[radius] = (indices, offsets)

@@ -387,18 +387,6 @@ def decision_scores(model: SvmModel, features) -> np.ndarray:
     return scores
 
 
-def model_feature_set(model: SvmModel) -> str:
-    """The feature set named by model.meta; raises ModelFormatError when its
-    width is not the model's vector width, before any scene is featurised."""
-    subset = model.meta.get("feature_set", "full")
-    cols = FEATURE_SLICES[subset]
-    got, width = cols.stop - cols.start, model.support_vectors.shape[1]
-    if got != width:
-        raise ModelFormatError(f"model meta names feature set {subset!r} of "
-                               f"{got} columns, but its vectors have {width}")
-    return subset
-
-
 def predict_parallel(model: SvmModel, features, workers: int = 1):
     """Score rows across a thread pool; output is identical for any worker count.
 
@@ -455,7 +443,8 @@ def _require(doc, key, types):
 
 
 def load_model(path) -> SvmModel:
-    """Read a model written by save_model, validating the schema."""
+    """Read a model written by save_model, validating the schema; the
+    feature set named by its meta must be as wide as its vectors."""
     try:
         doc = json.loads(read_text(path, ModelFormatError, "ascii"))
     except json.JSONDecodeError as exc:
@@ -483,9 +472,6 @@ def load_model(path) -> SvmModel:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("model field 'meta' has the wrong type")
-    if meta.get("feature_set", "full") not in FEATURE_SETS:
-        raise ModelFormatError(
-            f"model meta names unknown feature set {meta['feature_set']!r}")
     if sv.ndim != 2 and sv.size > 0:
         raise ModelFormatError("support_vectors must be a list of rows")
     if sv.size == 0:
@@ -494,4 +480,11 @@ def load_model(path) -> SvmModel:
         raise ModelFormatError("support_vectors and dual_coefs disagree on count")
     if mean.shape != std.shape or (sv.size and sv.shape[1] != mean.size):
         raise ModelFormatError("scaling statistics do not match the vectors")
+    subset = meta.get("feature_set", "full")
+    if subset not in FEATURE_SETS:
+        raise ModelFormatError(f"model meta names unknown feature set {subset!r}")
+    width = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
+    if width != mean.size:
+        raise ModelFormatError(f"model meta names feature set {subset!r} of "
+                               f"{width} columns, but its vectors have {mean.size}")
     return SvmModel(kernel, c, ScalingStats(mean, std), sv, coef, bias, meta)

@@ -22,8 +22,8 @@ def scene_features(cloud: PointCloud, cfg: PipelineConfig,
     """Run one cloud through the full feature pipeline.
 
     Returns (processed_cloud, features); the feature matrix is aligned with
-    the processed (outlier-filtered, downsampled) cloud, not the input.
-    Only the columns of ``feature_set`` are filled (see extract_features).
+    the processed (outlier-filtered, downsampled) cloud, not the input,
+    and holds the columns of ``feature_set`` only (see extract_features).
     """
     t0 = time.perf_counter()
     filtered = remove_statistical_outliers(cloud, cfg.outlier)
@@ -54,8 +54,8 @@ def manifest_scene_features(manifest: DatasetManifest, cfg: PipelineConfig,
                             feature_set: str = "full"):
     """Read and featurise each scene of the manifest in order.
 
-    Yields (entry, features) per entry; the features are the 36-d rows of
-    scene_features, filled in the columns of ``feature_set``.
+    Yields (entry, features) per entry; the features are the rows of
+    scene_features in ``feature_set``.
     """
     for entry in manifest.entries:
         log.info("processing scene %s", entry.path)
@@ -66,8 +66,8 @@ def manifest_scene_features(manifest: DatasetManifest, cfg: PipelineConfig,
 
 def pooled_features(manifest: DatasetManifest, cfg: PipelineConfig,
                     feature_set: str = "full") -> FeatureMatrix:
-    """Concatenate the 36-d feature rows of every scene in the manifest,
-    filled in the columns of ``feature_set``."""
+    """Concatenate the feature rows, in ``feature_set``, of every scene in
+    the manifest."""
     scenes = [fm for _entry, fm in manifest_scene_features(manifest, cfg,
                                                            feature_set)]
     return FeatureMatrix(np.concatenate([fm.values for fm in scenes]),
@@ -79,20 +79,21 @@ def assemble_training_matrix(source, cfg: PipelineConfig,
                              train_config: TrainConfig | None = None) -> FeatureMatrix:
     """Build the training pool: labelled, valid rows, capped and sliced.
 
-    ``source`` is a DatasetManifest (scenes are processed here, filling only
-    the train config's feature set) or an already-pooled full-width
-    FeatureMatrix.  Rows beyond cfg.max_train_rows
-    are subsampled per class with the training seed, keeping class
-    proportions; the feature subset of the train config is then applied.
+    ``source`` is a DatasetManifest, whose scenes are featurised here in
+    the train config's feature set, or an already-pooled full-width
+    FeatureMatrix, from which that set's columns are selected.  Rows beyond
+    cfg.max_train_rows are subsampled per class with the training seed,
+    keeping class proportions.
     """
     train_config = train_config or cfg.train
-    full = source if isinstance(source, FeatureMatrix) \
-        else pooled_features(source, cfg, train_config.feature_set)
-    usable = (full.labels >= 0) & full.valid
+    pool = (select_features(source, train_config.feature_set)
+            if isinstance(source, FeatureMatrix)
+            else pooled_features(source, cfg, train_config.feature_set))
+    usable = (pool.labels >= 0) & pool.valid
     if not usable.any():
         raise TrainingError("no labelled rows with valid descriptors")
     rows = np.flatnonzero(usable)
-    labels = full.labels[rows]
+    labels = pool.labels[rows]
 
     if rows.size > cfg.max_train_rows:
         rng = np.random.default_rng(train_config.seed)
@@ -110,5 +111,4 @@ def assemble_training_matrix(source, cfg: PipelineConfig,
         log.info("training pool capped: %d -> %d rows", rows.size, keep.size)
         rows = keep
 
-    pool = FeatureMatrix(full.values[rows], full.labels[rows], full.valid[rows])
-    return select_features(pool, train_config.feature_set)
+    return FeatureMatrix(pool.values[rows], pool.labels[rows], pool.valid[rows])

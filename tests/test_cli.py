@@ -9,7 +9,7 @@ import pytest
 from peduncleseg import (CloudFormatError, ConfigError, KernelSpec,
                          NormalParams, OutlierParams, PipelineConfig,
                          TrainConfig, VoxelParams, cli, load_pipeline_config,
-                         pipeline, read_cloud, read_manifest)
+                         pipeline, read_cloud, read_manifest, select_features)
 
 from clouds import record_calls
 
@@ -369,8 +369,8 @@ class TestPredict:
 
 
 class TestFeatureSetRuns:
-    """An hsv model's train, evaluate and predict fill the hsv columns only,
-    and write the bytes of featurising in full and then selecting."""
+    """An hsv model's train, evaluate and predict featurise the hsv columns
+    only, and write the bytes of featurising in full and then selecting."""
 
     @staticmethod
     def run_hsv(workdir, out):
@@ -396,7 +396,8 @@ class TestFeatureSetRuns:
         got = self.run_hsv(workdir, tmp_path / "hsv")
         assert {args[-1] for args in calls} == {"hsv"}
         monkeypatch.setattr(pipeline, "extract_features",
-                            lambda *args: extract(*args[:-1], "full"))
+                            lambda *args: select_features(
+                                extract(*args[:-1], "full"), args[-1]))
         want = self.run_hsv(workdir, tmp_path / "full")
         assert "reports/report.json" in got and "pred_scores.csv" in got
         assert got == want

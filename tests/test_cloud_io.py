@@ -95,6 +95,20 @@ class TestReadCloud:
         assert err.value.line == lineno
         assert f"line {lineno}:" in str(err.value)
 
+    # only "\n" ends a line, as in read_manifest: these characters, which
+    # str.splitlines also breaks at, are whitespace inside a row
+    @pytest.mark.parametrize("char", [
+        "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ], ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_only_newline_ends_a_line(self, tmp_path, char):
+        p = write_text(tmp_path / "a.cloud", "FIELDS x y z r g b\nPOINTS 2\n"
+                       f"0 0 0{char}1 2 3\n1 1 1 4 5 6\n")
+        assert read_cloud(p).rgb.tolist() == [[1, 2, 3], [4, 5, 6]]
+        p = write_text(tmp_path / "b.cloud", "FIELDS x y z r g b\nPOINTS 2\n"
+                       f"0 0 0 1 2 3{char}\n\n1 x 1 4 5 6\n")
+        with pytest.raises(CloudFormatError, match="line 5:"):
+            read_cloud(p)
+
 
 def cloud_text(cloud):
     """The oracle for write_cloud: the file's text, formatted one point at a
@@ -322,3 +336,51 @@ class TestOneFileLayer:
     ])
     def test_passes_layer_calls(self, source):
         assert file_access(source) == []
+
+
+def sparse_imports(source):
+    """(line, name) of each place in ``source`` that imports or reaches
+    ``scipy.sparse``."""
+    def sparse(name):
+        return name == "scipy.sparse" or name.startswith("scipy.sparse.")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if sparse(a.name)]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if sparse(module) or (module == "scipy" and any(
+                    a.name == "sparse" for a in node.names)):
+                found.append((node.lineno, module))
+        elif isinstance(node, ast.Attribute) and sparse(ast.unparse(node)):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+class TestNoSparse:
+    """The radius CSR and the kernels are plain numpy: no package module
+    uses scipy.sparse."""
+
+    def test_no_module_imports_scipy_sparse(self):
+        package = Path(cloud_io.__file__).parent
+        found = {m.name: sparse_imports(m.read_text(encoding="utf-8"))
+                 for m in sorted(package.glob("*.py"))}
+        assert len(found) > 5
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
+    @pytest.mark.parametrize("source", [
+        "import scipy.sparse", "import scipy.sparse.linalg as la",
+        "from scipy import sparse", "from scipy import spatial, sparse",
+        "from scipy.sparse import csr_matrix", "scipy.sparse.csr_matrix(a)",
+    ])
+    def test_finds_sparse(self, source):
+        assert sparse_imports(source) != []
+
+    @pytest.mark.parametrize("source", [
+        "import scipy", "from scipy.spatial import cKDTree",
+        "from scipy import spatial", "import scipy.sparsetools",
+        "m.sparse(a)",
+    ])
+    def test_passes_other_imports(self, source):
+        assert sparse_imports(source) == []

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from peduncleseg import (NormalParams, NormalSet, PipelineConfig, PointCloud,
-                         SceneSpec, SpatialIndex, build_index, compute_pfh,
-                         estimate_normals, extract_features, generate_scene,
-                         rgb_to_hsv, scene_features, select_features)
+from peduncleseg import (FeatureMatrix, NormalParams, NormalSet,
+                         PipelineConfig, PointCloud, SceneSpec, SpatialIndex,
+                         TrainConfig, assemble_training_matrix, build_index,
+                         compute_pfh, estimate_normals, extract_features,
+                         generate_scene, predict_parallel, rgb_to_hsv,
+                         scene_features, select_features, train_svm)
 from peduncleseg import _kernels
 from peduncleseg.features import FEATURE_DIM, FEATURE_SLICES, HIST_BINS
 
@@ -369,7 +371,7 @@ def fallback_scene(_rng):
 
 
 class TestFeatureSets:
-    """extract_features fills only the named set's columns and flags the
+    """extract_features returns only the named set's columns and flags the
     same rows valid in every set."""
 
     @staticmethod
@@ -387,11 +389,8 @@ class TestFeatureSets:
         full = self.features(build, np.random.default_rng(7), "full")
         part = self.features(build, np.random.default_rng(7), feature_set)
         assert np.array_equal(part.valid, full.valid)
-        cols = FEATURE_SLICES[feature_set]
-        assert np.array_equal(part.values[:, cols], full.values[:, cols])
-        rest = np.ones(FEATURE_DIM, dtype=bool)
-        rest[cols] = False
-        assert not part.values[:, rest].any()
+        assert np.array_equal(part.values,
+                              full.values[:, FEATURE_SLICES[feature_set]])
 
     def test_isolated_points_are_invalid(self, rng):
         fm = self.features(isolated_scene, rng, "hsv")
@@ -408,8 +407,36 @@ class TestFeatureSets:
         calls = record_calls(monkeypatch, _kernels, "pfh_pair_histograms")
         sampled, fm = scene_features(generate_scene(SceneSpec(seed=3)),
                                      PipelineConfig(), "hsv")
-        assert fm.values.shape == (len(sampled), FEATURE_DIM)
+        assert fm.values.shape == (len(sampled), 3)
         assert all(args[-1].size < len(sampled) for args in calls)
+
+    @staticmethod
+    def labelled(fm):
+        """fm with alternating labels on its valid rows, as a training pool."""
+        labels = (np.arange(len(fm)) % 2).astype(np.int8)
+        return FeatureMatrix(fm.values[fm.valid], labels[fm.valid],
+                             fm.valid[fm.valid])
+
+    def test_full_model_rejects_hsv_rows(self):
+        full = self.features(scene, np.random.default_rng(7), "full")
+        hsv = self.features(scene, np.random.default_rng(7), "hsv")
+        model = train_svm(self.labelled(full), TrainConfig(max_passes=1))
+        assert len(predict_parallel(model, full)[0]) == len(full)
+        with pytest.raises(ValueError, match="dimension 3, model expects 36"):
+            predict_parallel(model, hsv)
+
+    @pytest.mark.parametrize("feature_set", ["full", "hsv"])
+    def test_training_pool_needs_full_rows(self, feature_set):
+        hsv = self.features(scene, np.random.default_rng(7), "hsv")
+        with pytest.raises(ValueError, match="got 3 columns"):
+            assemble_training_matrix(self.labelled(hsv), PipelineConfig(),
+                                     TrainConfig(feature_set=feature_set))
+
+    @pytest.mark.parametrize("subset", ["full", "hsv", "pfh"])
+    def test_select_features_needs_full_rows(self, subset):
+        pfh = self.features(scene, np.random.default_rng(7), "pfh")
+        with pytest.raises(ValueError, match="got 33 columns"):
+            select_features(pfh, subset)
 
     def test_unknown_set_rejected(self, rng):
         with pytest.raises(ValueError, match="hsvpfh"):

@@ -16,6 +16,7 @@ from peduncleseg import (FeatureMatrix, KernelSpec, ModelFormatError,
                          TrainConfig, TrainingError, decision_scores,
                          load_model, predict_parallel, save_model, train_svm)
 from peduncleseg import learn
+from peduncleseg.features import FEATURE_SLICES
 from peduncleseg.learn import (SV_EPS, ScalingStats, SvmModel, _kernel_points,
                                _kernel_row)
 
@@ -903,11 +904,14 @@ class TestParallelPredict:
 
 
 class TestModelFile:
+    # load_model holds a model's rows to the width of its meta's feature
+    # set, so these models train on 3 columns as hsv models
     def test_round_trip_scores_identical(self, rng, tmp_path):
-        x = rng.normal(size=(30, 4))
+        x = rng.normal(size=(30, 3))
         labels = (x[:, 0] > 0).astype(np.int8)
         model = train_svm(matrix(x, labels),
-                          TrainConfig(kernel=KernelSpec("rbf", 0.3), c=5.0))
+                          TrainConfig(kernel=KernelSpec("rbf", 0.3), c=5.0,
+                                      feature_set="hsv"))
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -921,8 +925,8 @@ class TestModelFile:
         assert np.array_equal(a, b)
 
     def test_schema_fields_present(self, rng, tmp_path):
-        x = rng.normal(size=(10, 2))
-        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig())
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
@@ -949,14 +953,29 @@ class TestModelFile:
         lambda d: d["meta"].update(feature_set="bogus"),
     ])
     def test_schema_violations_rejected(self, rng, tmp_path, mutate):
-        x = rng.normal(size=(10, 2))
-        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig())
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
         path = tmp_path / "model.json"
         save_model(model, path)
+        load_model(path)
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("subset, width", [("full", 3), ("pfh", 3),
+                                               ("hsv", 36), ("full", 33)])
+    def test_feature_set_width_mismatch_rejected(self, rng, tmp_path, subset,
+                                                 width):
+        x = rng.normal(size=(10, width))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set=subset))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        cols = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
+        with pytest.raises(ModelFormatError,
+                           match=f"feature set {subset!r} of {cols} columns, "
+                                 f"but its vectors have {width}"):
             load_model(path)
 
     def test_failed_dump_keeps_the_old_model(self, rng, tmp_path, monkeypatch):
