@@ -10,8 +10,8 @@ import numpy as np
 
 from .cloud_io import DatasetManifest, format_rows, replaced
 from .features import select_features
-from .learn import (SvmModel, TrainConfig, TrainingError, decision_scores,
-                    train_svm)
+from .learn import (SvmModel, TrainConfig, TrainingError, check_feature_set,
+                    decision_scores, train_svm)
 from .pipeline import (assemble_training_matrix, manifest_scene_features,
                        pooled_features)
 
@@ -148,8 +148,10 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
     per colour tag, in that order, for slices that are present.  A slice
     holds the labelled points of the scenes whose manifest entry matches it.
     A slice whose pooled points are single-class is skipped with a warning.
-    Scenes are featurised in the model's feature set only.
+    Scenes are featurised in the model's feature set only, after
+    check_feature_set has accepted the model.
     """
+    check_feature_set(model)
     scenes = []   # (entry, scores, labels) of each scene with labelled points
     for entry, fm in manifest_scene_features(
             test, pipeline, model.meta.get("feature_set", "full")):

@@ -134,7 +134,13 @@ def _kernel_from_dots(g, sq, sq_x, kernel):
     or exp(-gamma * max(sq_P + |x|^2 - 2 g, 0)) (rbf), elementwise, so an
     entry's bits do not depend on the shape of g."""
     if kernel.kind == "rbf":
-        np.exp(-kernel.gamma * np.maximum(sq + sq_x - 2.0 * g, 0.0), out=g)
+        # the same operations in the same order as
+        # exp(-gamma * max(sq + sq_x - 2 g, 0)), with one scratch array
+        g *= 2.0
+        np.subtract(sq + sq_x, g, out=g)
+        np.maximum(g, 0.0, out=g)
+        g *= -kernel.gamma
+        np.exp(g, out=g)
     return g
 
 
@@ -181,9 +187,13 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     up_vals holds it on I_up and -inf elsewhere, low_vals on I_low and +inf
     elsewhere, so the working pair is argmax(up_vals), argmin(low_vals).
     Each iteration adds K[i] (-y_i da_i) + K[j] (-y_j da_j) to both buffers
-    in place (the infinities stay) and re-masks only entries i and j.
-    Multiplying by +-1 is exact, so every value equals the one a loop over
-    Q and g computes.
+    in place (the infinities stay) and re-masks only entries i and j, from
+    their new values summed again from the kernel entries already read, in
+    the adds' order.  Multiplying by +-1 is exact, so every value equals the
+    one a loop over Q and g computes.  The loop's scalars (alpha, y, the
+    caps, m_up, m_low and the pair's kernel entries) are Python floats:
+    the same IEEE double arithmetic as numpy scalars, at less cost per
+    operation.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -241,13 +251,19 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
         slot_of[t] = slot
         return cache[slot, :u]
 
-    alpha = np.zeros(u)
+    alpha = [0.0] * u
+    yl = yv.tolist()
     # -y * g at alpha = 0 (g = -1), masked to I_up / I_low; every variable
     # is in at least one of the two sets, so each value lives in some buffer
     up_vals = np.where(yv > 0, yv, -np.inf)
     low_vals = np.where(yv < 0, yv, np.inf)
+    # bound methods: np.argmax(a) costs several times a.argmax() at this size
+    argmax, argmin = up_vals.argmax, low_vals.argmin
     step = np.empty(u)
     step_j = np.empty(u)
+    # 0-d arrays for the step's scale factors: numpy takes them as they are,
+    # where it converts a Python float on every call
+    scale_i, scale_j = np.empty(()), np.empty(())
     max_iter = config.max_passes * n
     converged = False
     it = 0
@@ -255,18 +271,19 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     while it < max_iter:
         # maximal violating pair, first index winning ties; an empty up (low)
         # set gives m_up = -inf (m_low = inf): converged
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up, m_low = up_vals[i], low_vals[j]
+        i = int(argmax())
+        j = int(argmin())
+        m_up, m_low = up_vals.item(i), low_vals.item(j)
         if m_up - m_low <= tol:
             converged = True
             break
 
-        yi, yj = yv[i], yv[j]
+        yi, yj = yl[i], yl[j]
         gi, gj = -yi * m_up, -yj * m_low
         ki = kernel_row(i)
         kj = kernel_row(j)   # slots >= 2, so fetching row j keeps row i
-        quad = ki[i] + kj[j] - 2.0 * ki[j]
+        kii, kij, kji, kjj = ki.item(i), ki.item(j), kj.item(i), kj.item(j)
+        quad = kii + kjj - 2.0 * kij
         if quad <= 0.0:
             quad = tau
         ai_old, aj_old = alpha[i], alpha[j]
@@ -300,15 +317,19 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             elif ai < 0:
                 ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        np.multiply(ki, -yi * (ai - ai_old), out=step)
-        np.multiply(kj, -yj * (aj - aj_old), out=step_j)
+        si, sj = -yi * (ai - ai_old), -yj * (aj - aj_old)
+        scale_i[()], scale_j[()] = si, sj
+        np.multiply(ki, scale_i, out=step)
+        np.multiply(kj, scale_j, out=step_j)
         step += step_j
         up_vals += step
         low_vals += step
-        # i was in I_up and j in I_low, so those buffers hold their values;
+        # i was in I_up and j in I_low, so their buffers held m_up and m_low
+        # and now hold these sums, each rounded as the adds above round it;
         # each re-enters the sets its new alpha puts it in
-        for t, a, v in ((i, ai, up_vals[i]), (j, aj, low_vals[j])):
-            in_up, in_low = (a < bound[t], a > 0) if yv[t] > 0 \
+        for t, a, v in ((i, ai, m_up + (kii * si + kji * sj)),
+                        (j, aj, m_low + (kij * si + kjj * sj))):
+            in_up, in_low = (a < bound[t], a > 0) if yl[t] > 0 \
                 else (a > 0, a < bound[t])
             up_vals[t] = v if in_up else -np.inf
             low_vals[t] = v if in_low else np.inf
@@ -319,6 +340,7 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
                     "without reaching tolerance %g", config.max_passes, it,
                     kernel_rows, n, u, tol)
 
+    alpha = np.array(alpha)
     up = up_vals > -np.inf
     low = low_vals < np.inf
     grad = -yv * np.where(up, up_vals, low_vals)   # gradient of the dual
@@ -443,8 +465,8 @@ def _require(doc, key, types):
 
 
 def load_model(path) -> SvmModel:
-    """Read a model written by save_model, validating the schema; the
-    feature set named by its meta must be as wide as its vectors."""
+    """Read a model written by save_model, validating the schema and, with
+    check_feature_set, the feature set named by its meta."""
     try:
         doc = json.loads(read_text(path, ModelFormatError, "ascii"))
     except json.JSONDecodeError as exc:
@@ -480,11 +502,19 @@ def load_model(path) -> SvmModel:
         raise ModelFormatError("support_vectors and dual_coefs disagree on count")
     if mean.shape != std.shape or (sv.size and sv.shape[1] != mean.size):
         raise ModelFormatError("scaling statistics do not match the vectors")
-    subset = meta.get("feature_set", "full")
+    model = SvmModel(kernel, c, ScalingStats(mean, std), sv, coef, bias, meta)
+    check_feature_set(model)
+    return model
+
+
+def check_feature_set(model: SvmModel):
+    """Raise ModelFormatError unless the feature set named by the model's
+    meta is known and as wide as its vectors."""
+    subset = model.meta.get("feature_set", "full")
     if subset not in FEATURE_SETS:
         raise ModelFormatError(f"model meta names unknown feature set {subset!r}")
     width = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
-    if width != mean.size:
+    columns = model.scaling.mean.size
+    if width != columns:
         raise ModelFormatError(f"model meta names feature set {subset!r} of "
-                               f"{width} columns, but its vectors have {mean.size}")
-    return SvmModel(kernel, c, ScalingStats(mean, std), sv, coef, bias, meta)
+                               f"{width} columns, but its vectors have {columns}")

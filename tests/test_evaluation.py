@@ -245,6 +245,35 @@ class TestEvaluate:
         assert "trip-2" not in tags
         assert any("trip-2" in rec.message for rec in caplog.records)
 
+    def test_model_narrower_than_its_feature_set_refused_before_featurising(
+            self, tmp_path, monkeypatch):
+        from peduncleseg import (KernelSpec, ModelFormatError, ScalingStats,
+                                 SvmModel, pipeline)
+
+        def model(width, subset):
+            return SvmModel(KernelSpec(), 1.0,
+                            ScalingStats(np.zeros(width), np.ones(width)),
+                            np.zeros((1, width)), np.ones(1), 0.0,
+                            {"feature_set": subset})
+
+        test_m = synth_dataset(tmp_path / "test", 1, seed0=3)
+        calls = []
+        featurise = pipeline.scene_features
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return featurise(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "scene_features", spy)
+        with pytest.raises(ModelFormatError,
+                           match="model meta names feature set 'full' of 36 "
+                                 "columns, but its vectors have 2"):
+            evaluate(model(2, "full"), test_m, tiny_config())
+        assert calls == []
+        # the spy sees the scene of a model as wide as its set
+        evaluate(model(3, "hsv"), test_m, tiny_config())
+        assert len(calls) == 1
+
     def test_deterministic(self, tmp_path):
         cfg = tiny_config()
         train_m = synth_dataset(tmp_path / "train", 2, seed0=0)

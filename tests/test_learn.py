@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -487,6 +488,251 @@ class TestDistinctRows:
         assert np.count_nonzero(alpha[var_of_row == 1] == c) == 1
 
 
+# ---------------------------------------------------------------------------
+# The distinct-variable loop as train_svm ran it before its scalars became
+# Python floats and its reductions ndarray methods, kept verbatim as an
+# oracle: two masked numpy buffers, np.argmax / np.argmin, numpy scalars and
+# LIBSVM's per-variable clipping.  Unlike reference_smo it runs over the
+# distinct (row, label) pairs, so it covers repeated rows that stop at their
+# cap k C, and it shares train_svm's row cache budget, so kernel_rows too
+# must be equal.
+# ---------------------------------------------------------------------------
+
+def frozen_distinct_smo(xs, y, config):
+    n = len(y)
+    c = float(config.c)
+    tol = float(config.tolerance)
+    key = np.ascontiguousarray(np.column_stack([xs, y]))
+    uniq, first, inverse, counts = np.unique(
+        key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    first, counts = first[order], counts[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    var_of_row = rank[inverse]
+    u = len(first)
+    yv = y[first]
+    cap = c * counts
+    bound = cap.tolist()
+    points, sq = _kernel_points(xs[first])
+    slots = min(u, max(2, learn._ROW_CACHE_BYTES // (8 * len(points))))
+    cache = np.empty((slots, len(points)))
+    slot_of = OrderedDict()
+    kernel_rows = 0
+
+    def kernel_row(t):
+        nonlocal kernel_rows
+        slot = slot_of.pop(t, None)
+        if slot is None:
+            slot = len(slot_of) if len(slot_of) < slots \
+                else slot_of.popitem(last=False)[1]
+            _kernel_row(points, sq, points[t], sq[t], config.kernel,
+                        cache[slot])
+            kernel_rows += 1
+        slot_of[t] = slot
+        return cache[slot, :u]
+
+    alpha = np.zeros(u)
+    up_vals = np.where(yv > 0, yv, -np.inf)
+    low_vals = np.where(yv < 0, yv, np.inf)
+    step = np.empty(u)
+    step_j = np.empty(u)
+    max_iter = config.max_passes * n
+    converged = False
+    it = 0
+    tau = 1e-12
+    while it < max_iter:
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        m_up, m_low = up_vals[i], low_vals[j]
+        if m_up - m_low <= tol:
+            converged = True
+            break
+
+        yi, yj = yv[i], yv[j]
+        gi, gj = -yi * m_up, -yj * m_low
+        ki = kernel_row(i)
+        kj = kernel_row(j)
+        quad = ki[i] + kj[j] - 2.0 * ki[j]
+        if quad <= 0.0:
+            quad = tau
+        ai_old, aj_old = alpha[i], alpha[j]
+        ci, cj = bound[i], bound[j]
+        if yi != yj:
+            delta = (-gi - gj) / quad
+            diff = ai_old - aj_old
+            ai, aj = ai_old + delta, aj_old + delta
+            if diff > 0:
+                if aj < 0:
+                    aj, ai = 0.0, diff
+            elif ai < 0:
+                ai, aj = 0.0, -diff
+            if diff > ci - cj:
+                if ai > ci:
+                    ai, aj = ci, ci - diff
+            elif aj > cj:
+                aj, ai = cj, cj + diff
+        else:
+            delta = (gi - gj) / quad
+            total = ai_old + aj_old
+            ai, aj = ai_old - delta, aj_old + delta
+            if total > ci:
+                if ai > ci:
+                    ai, aj = ci, total - ci
+            elif aj < 0:
+                aj, ai = 0.0, total
+            if total > cj:
+                if aj > cj:
+                    aj, ai = cj, total - cj
+            elif ai < 0:
+                ai, aj = 0.0, total
+        alpha[i], alpha[j] = ai, aj
+        np.multiply(ki, -yi * (ai - ai_old), out=step)
+        np.multiply(kj, -yj * (aj - aj_old), out=step_j)
+        step += step_j
+        up_vals += step
+        low_vals += step
+        for t, a, v in ((i, ai, up_vals[i]), (j, aj, low_vals[j])):
+            in_up, in_low = (a < bound[t], a > 0) if yv[t] > 0 \
+                else (a > 0, a < bound[t])
+            up_vals[t] = v if in_up else -np.inf
+            low_vals[t] = v if in_low else np.inf
+        it += 1
+
+    up = up_vals > -np.inf
+    low = low_vals < np.inf
+    grad = -yv * np.where(up, up_vals, low_vals)
+    ky = yv * (grad + 1.0)
+    free = (alpha > SV_EPS) & (alpha < cap - SV_EPS)
+    if free.any():
+        bias = float(np.mean(yv[free] - ky[free]))
+    else:
+        hi = up_vals.max() if up.any() else low_vals.min()
+        lo = low_vals.min() if low.any() else up_vals.max()
+        bias = float((hi + lo) / 2.0)
+
+    totals = alpha
+    alpha = learn._row_alphas(alpha, var_of_row, counts, c)
+    objective = float(0.5 * (alpha.sum() - alpha @ grad[var_of_row]))
+    return SimpleNamespace(totals=totals, cap=cap, alpha=alpha, bias=bias,
+                           iterations=it, kernel_rows=kernel_rows,
+                           converged=converged, objective=objective)
+
+
+def hsv_like_problem(n=1500, seed=5):
+    """3 columns on 8-bit steps from a few levels each, so most rows repeat,
+    with labels that overlap: some rows appear under both labels."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(60, 66, size=(n, 3)) / 255.0
+    labels = (x[:, 0] - x[:, 1] + 0.01 * rng.normal(size=n) > 0)
+    return x, labels.astype(np.int8)
+
+
+class TestSmoAgainstFrozenLoop:
+    """train_svm against the frozen distinct-variable loop, bit for bit."""
+
+    def assert_matches_frozen(self, x, labels, config, monkeypatch):
+        seen = []
+        expand = learn._row_alphas
+
+        def spy(totals, *args):
+            seen.append(totals.copy())
+            return expand(totals, *args)
+
+        monkeypatch.setattr(learn, "_row_alphas", spy)
+        model = train_svm(matrix(x, labels), config)
+        monkeypatch.setattr(learn, "_row_alphas", expand)
+        xs = model.scaling.apply(x)
+        y = np.where(labels == 1, 1.0, -1.0)
+        ref = frozen_distinct_smo(xs, y, config)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], ref.totals)
+        sv = np.flatnonzero(ref.alpha > SV_EPS)
+        assert np.array_equal(model.support_vectors, xs[sv])
+        assert np.array_equal(model.dual_coefs, ref.alpha[sv] * y[sv])
+        assert model.bias == ref.bias
+        assert model.meta["iterations"] == ref.iterations
+        assert model.meta["kernel_rows"] == ref.kernel_rows
+        assert model.meta["converged"] is ref.converged
+        assert model.meta["dual_objective"] == ref.objective
+        return model, ref
+
+    @pytest.mark.parametrize("kernel, c", [(KernelSpec("rbf", 0.01), 100.0),
+                                           (KernelSpec("linear", None), 10.0)])
+    def test_hsv_like_repeated_rows_unconverged(self, kernel, c, monkeypatch):
+        x, labels = hsv_like_problem()
+        config = TrainConfig(kernel=kernel, c=c, max_passes=1,
+                             feature_set="hsv")
+        model, ref = self.assert_matches_frozen(x, labels, config,
+                                                monkeypatch)
+        assert not ref.converged
+        assert model.meta["distinct_rows"] < len(x) // 3
+        # repeated rows that stop at their cap k C, with k > 1
+        at_cap = ref.totals == ref.cap
+        assert np.any(at_cap & (ref.cap > c))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 0.5),
+                                        KernelSpec("linear", None)])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_small_row_cache(self, kernel, rows, monkeypatch):
+        x, labels = hsv_like_problem(n=600, seed=rows)
+        config = TrainConfig(kernel=kernel, c=10.0, max_passes=1,
+                             feature_set="hsv")
+        distinct = train_svm(matrix(x, labels), config).meta["distinct_rows"]
+        row_bytes = 8 * (distinct + -distinct % 8)
+        monkeypatch.setattr(learn, "_ROW_CACHE_BYTES",
+                            rows * row_bytes + row_bytes // 2)
+        model, _ref = self.assert_matches_frozen(x, labels, config,
+                                                 monkeypatch)
+        # evicted rows are computed again
+        assert model.meta["kernel_rows"] > distinct
+
+
+def while_loop_calls(source, names=("argmax", "argmin", "where")):
+    """(line, name) of each np.<name> call inside a while loop of source."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, ast.While):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and node.func.attr in names):
+                found.add((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+class TestSmoLoopCalls:
+    """The SMO loop calls its reductions as ndarray methods: at the sizes it
+    runs, np.argmax(a) costs several times a.argmax()."""
+
+    def test_no_numpy_reduction_in_a_while_loop_of_learn(self):
+        with open(learn.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        assert "while " in source
+        assert while_loop_calls(source) == []
+
+    @pytest.mark.parametrize("source", [
+        "while it < n:\n    i = int(np.argmax(up))\n",
+        "while True:\n    if x:\n        j = np.argmin(low)\n",
+        "while a:\n    for t in b:\n        v = numpy.where(m, 1.0, 0.0)\n",
+        "while a:\n    while b:\n        np.argmax(c)\n",
+    ])
+    def test_finds_a_reduction_in_a_loop(self, source):
+        assert len(while_loop_calls(source)) == 1
+
+    @pytest.mark.parametrize("source", [
+        "i = np.argmax(up)\nwhile i:\n    i = up.argmax()\n",
+        "for t in b:\n    np.where(m, 1.0, 0.0)\n",
+        "while a:\n    np.maximum(b, 0.0, out=b)\n",
+    ])
+    def test_passes_other_calls(self, source):
+        assert while_loop_calls(source) == []
+
+
 class TestGram:
     """The rows of _kernel_row, stacked into K."""
     kernels = [KernelSpec("linear", None), KernelSpec("rbf", 0.3)]
@@ -515,6 +761,25 @@ class TestGram:
             ref = gram(x, kernel)
             np.testing.assert_allclose(k, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
+
+    # the in-place RBF step against the expression it replaced, on one row
+    # and on a (rows, points) block with per-row norms
+    @pytest.mark.parametrize("d", [3, 36])
+    def test_rbf_in_place_same_bits_as_the_expression(self, rng, d):
+        kernel = KernelSpec("rbf", 0.1)
+        points, sq = _kernel_points(rng.normal(size=(1001, d)))
+        x = rng.normal(size=(40, d))
+        sq_x = np.einsum("ij,ij->i", x, x)
+        g = x @ points.T
+        expected = np.exp(-kernel.gamma
+                          * np.maximum(sq + sq_x[:, None] - 2.0 * g, 0.0))
+        block = learn._kernel_from_dots(g.copy(), sq, sq_x[:, None], kernel)
+        assert np.array_equal(block, expected)
+        row = _kernel_row(points, sq, points[7], sq[7], kernel,
+                          np.empty(len(points)))
+        g7 = points @ points[7]
+        assert np.array_equal(row, np.exp(
+            -kernel.gamma * np.maximum(sq + sq[7] - 2.0 * g7, 0.0)))
 
     @pytest.mark.parametrize("kernel", kernels)
     def test_training_holds_one_matrix(self, kernel):
