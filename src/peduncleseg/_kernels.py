@@ -12,17 +12,19 @@ skip); a default scene holds about 28 pair instances per unique pair.  It
 bins the pairs ``_BIN_BATCH`` at a time, so the float temporaries of
 binning stay within the CPU cache.  It then takes the queries in batches.
 A batch renumbers the union U of its members to 0..|U|-1 and scatters the
-codes of the pairs with both ends in U into a dense |U| x |U| table that
-starts filled with a "missing" sentinel, so each pair instance costs one
-lookup.  Each query counts its looked-up codes with its own
-``np.bincount``; a sentinel is negative and makes ``bincount`` raise,
-which means a neighbour list was not distinct and ascending or reached
-beyond the radius.  The counts form the query's (11, 11, 11) cube of bin
+codes of the pairs with both ends in U into a dense |U| x |U| int32 table
+that starts filled with a "missing" sentinel, so each pair instance costs
+one lookup.  Each query counts its looked-up codes with its own
+``np.bincount`` into its row of the batch's queries x 1332 int64
+histogram; a sentinel is negative and makes ``bincount`` raise, which
+means a neighbour list was not distinct and ascending or reached beyond
+the radius.  The counts form the query's (11, 11, 11) cube of bin
 triples, whose three 11-bin marginals are its alpha, phi and theta
-blocks.  A batch is cut before its pair instances, its table bytes or its
-histogram bins would pass their limits, so memory stays bounded on dense
-and on large sparse scenes alike.  Its counts are those of a scalar loop
-over every pair of every neighbourhood, integer for integer.
+blocks.  The table and the histogram are a batch's only allocations that
+grow with it, and a batch is cut before their bytes together would pass
+``_BATCH_BYTES``, so memory stays bounded on dense and on large sparse
+scenes alike.  Its counts are those of a scalar loop over every pair of
+every neighbourhood, integer for integer.
 
 Both kernels accumulate integer histogram counts / fixed-order float sums,
 so results do not depend on batch size.
@@ -42,10 +44,8 @@ ALPHA_SCALE = NBINS / 2.0          # alpha, phi over [-1, 1]
 THETA_SCALE = NBINS / (2.0 * math.pi)  # theta over [-pi, pi]
 DEGENERATE_CROSS_SQ = 1e-24        # ||U x u|| < 1e-12
 
-_PAIR_BATCH = 2_000_000    # a batch's pair instances
 _BIN_BATCH = 1 << 15       # pairs binned at once: about 350 bytes each
-_TABLE_BYTES = 32 << 20    # a batch's dense code table: |U|^2 entries
-_CUBE_BINS = 2_000_000     # a batch's histogram bins: queries * _CODES
+_BATCH_BYTES = 12 << 20    # a query batch's code table plus histogram
 _SKIP = NBINS ** 3         # code of a pair the histograms leave out
 _CODES = _SKIP + 1         # codes per query histogram
 _MISSING = np.int32(np.iinfo(np.int32).min)  # dense-table entry of no pair
@@ -148,38 +148,33 @@ def _pack_bins(alpha, phi, theta):
     return (ba * NBINS + bp) * NBINS + bt
 
 
-def _query_batches(active, npairs, members, member_off, n):
+def _query_batches(active, members, member_off, n):
     """Cut the queries ``active`` into consecutive batches and yield each
     with the ascending union U of its members.
 
-    A batch takes queries while its pair instances stay within
-    ``_PAIR_BATCH``, its |U| x |U| code table within ``_TABLE_BYTES`` and
-    its histogram within ``_CUBE_BINS``; a query that alone passes a limit
-    forms a batch of its own.  At these limits a neighbourhood too large
-    for the table alone has more pairs than ``_PAIR_BATCH``, and its table
-    is about twice the bytes of its own lookup keys.
+    A batch takes queries while its |U| x |U| int32 code table plus its
+    queries x ``_CODES`` int64 histogram stay within ``_BATCH_BYTES``; a
+    query that alone passes the budget forms a batch of its own.
     """
-    max_union = math.isqrt(_TABLE_BYTES // _MISSING.itemsize)
-    max_queries = _CUBE_BINS // _CODES
+    query_bytes = _CODES * np.dtype(np.int64).itemsize
     batch_of = np.full(n, -1, dtype=np.int64)  # last batch that held each point
-    b = lo = instances = union = 0
+    b = lo = union = 0
     for pos, qi in enumerate(active):
         m = members[member_off[qi]:member_off[qi + 1]]
         fresh = int(np.count_nonzero(batch_of[m] != b))
-        if pos > lo and (instances + npairs[qi] > _PAIR_BATCH
-                         or union + fresh > max_union
-                         or pos - lo == max_queries):
+        if pos > lo and ((union + fresh) ** 2 * _MISSING.itemsize
+                         + (pos - lo + 1) * query_bytes > _BATCH_BYTES):
             yield active[lo:pos], np.flatnonzero(batch_of == b)
             b += 1
-            lo, instances, union, fresh = pos, 0, 0, m.size
+            lo, union, fresh = pos, 0, m.size
         batch_of[m] = b
-        instances += npairs[qi]
         union += fresh
     yield active[lo:], np.flatnonzero(batch_of == b)
 
 
 def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
-    """Per-query raw 33-bin pair counts plus pair totals.
+    """Per-query raw 33-bin pair counts.  Each 11-bin block sums to the
+    query's scored pairs.
 
     ``queries`` selects which points get histograms; neighbour lists are the
     CSR arrays from the spatial index at ``radius`` (self included, distinct
@@ -193,7 +188,6 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
     n = xyz.shape[0]
     nq = queries.shape[0]
     counts = np.zeros((nq, 3 * NBINS), dtype=np.int64)
-    pair_counts = np.zeros(nq, dtype=np.int64)
     # valid members of each valid query's neighbourhood, flattened
     lens = np.where(valid[queries], nbr_off[queries + 1] - nbr_off[queries], 0)
     members = nbr_idx[_concat_ranges(nbr_off[queries], lens)]
@@ -205,7 +199,7 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
     npairs = k * (k - 1) // 2
     active = np.flatnonzero(npairs)
     if not active.size:
-        return counts, pair_counts
+        return counts
 
     pair_j, pair_i = _pair_table(xyz, members, radius)
     codes = _pair_codes(pair_i, pair_j, xyz, normals)
@@ -214,7 +208,7 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
     pos_a, pos_b = _pair_positions(int(k.max()))
     local = np.full(n, -1, dtype=np.int64)
 
-    for sel, u in _query_batches(active, npairs, members, member_off, n):
+    for sel, u in _query_batches(active, members, member_off, n):
         size = u.size
         local[u] = np.arange(size)
         rows = _concat_ranges(row_off[u], row_off[u + 1] - row_off[u])
@@ -234,13 +228,11 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
                                      "distinct indices in ascending order") from None
         local[u] = -1
         cube = hist[:, :_SKIP].reshape(sel.size, NBINS, NBINS * NBINS)
-        alpha = cube.sum(axis=2)
         phi_theta = cube.sum(axis=1).reshape(sel.size, NBINS, NBINS)
-        counts[sel, :NBINS] = alpha
+        counts[sel, :NBINS] = cube.sum(axis=2)
         counts[sel, NBINS:2 * NBINS] = phi_theta.sum(axis=2)
         counts[sel, 2 * NBINS:] = phi_theta.sum(axis=1)
-        pair_counts[sel] = alpha.sum(axis=1)
-    return counts, pair_counts
+    return counts
 
 
 def own_pair_scorable(xyz, normals, valid, nbr_idx, nbr_off):

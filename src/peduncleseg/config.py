@@ -28,8 +28,8 @@ class PipelineConfig:
     report_dir: str = "reports"
 
     def __post_init__(self):
-        if self.radius_ri <= 0:
-            raise ConfigError("radius_ri must be > 0")
+        if not 0 < self.radius_ri < np.inf:
+            raise ConfigError("radius_ri must be > 0 and finite")
         if self.max_train_rows < 2:
             raise ConfigError("max_train_rows must be >= 2")
 

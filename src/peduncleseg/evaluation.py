@@ -23,6 +23,7 @@ STRATIFY_KEYS = ("none", "trip", "colour")
 _SLICES = (("overall", None, None), ("trip-1", "trip", 1),
            ("trip-2", "trip", 2), ("red", "colour", "red"),
            ("green", "colour", "green"), ("mixed", "colour", "mixed"))
+_SINGLE_CLASS = "precision-recall needs at least one positive and one negative"
 
 
 class EvaluationError(RuntimeError):
@@ -105,8 +106,7 @@ def pr_curve(scores, labels) -> PrCurve:
     pos = labels == 1
     p = int(pos.sum())
     if p == 0 or p == len(labels):
-        raise EvaluationError(
-            "precision-recall needs at least one positive and one negative")
+        raise EvaluationError(_SINGLE_CLASS)
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
@@ -147,7 +147,9 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
     Produces one report per slice: "overall", then "trip-1"/"trip-2" and one
     per colour tag, in that order, for slices that are present.  A slice
     holds the labelled points of the scenes whose manifest entry matches it.
-    A slice whose pooled points are single-class is skipped with a warning.
+    A slice whose pooled points are single-class, or whose scores are not
+    all finite, is skipped with a warning; when every slice is skipped, the
+    error names why.
     Scenes are featurised in the model's feature set only, after
     check_feature_set has accepted the model.
     """
@@ -164,7 +166,7 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
     if not scenes:
         raise EvaluationError("no labelled points in any scene")
 
-    reports = []
+    reports, skipped = [], {}   # skip reasons in order of first sight
     for tag, attr, value in _SLICES:
         members = [(s, lab) for entry, s, lab in scenes
                    if attr is None or getattr(entry, attr) == value]
@@ -176,12 +178,15 @@ def evaluate(model: SvmModel, test: DatasetManifest, pipeline) -> list[EvalRepor
             curve = pr_curve(sl, ll)
         except EvaluationError as exc:
             log.warning("slice %s skipped: %s", tag, exc)
+            skipped[str(exc)] = None
             continue
         reports.append(EvalReport(tag, auc(curve), curve,
                                   positives=int((ll == 1).sum()),
                                   negatives=int((ll == 0).sum())))
     if not reports:
-        raise EvaluationError("every slice was single-class; nothing to report")
+        cause = "single-class" if list(skipped) == [_SINGLE_CLASS] \
+            else "skipped: " + "; ".join(skipped)
+        raise EvaluationError(f"every slice was {cause}; nothing to report")
     return reports
 
 

@@ -91,9 +91,10 @@ def _pfh_rows(cloud, normals, index, radius_ri, queries):
     """Normalised PFH rows and pair counts of ``queries``, read from the
     index's radius CSR."""
     _check_inputs(cloud, normals, index, radius_ri)
-    counts, pairs = _kernels.pfh_pair_histograms(
+    counts = _kernels.pfh_pair_histograms(
         cloud.xyz, normals.normals, normals.valid,
         *index.radius_neighbors_csr(radius_ri), radius_ri, queries)
+    pairs = counts[:, :_kernels.NBINS].sum(axis=1)   # the alpha block's total
     hist = counts.astype(np.float64)
     scorable = pairs > 0
     hist[scorable] /= pairs[scorable, None].astype(np.float64)

@@ -18,8 +18,10 @@ class NormalParams:
 
     def __post_init__(self):
         self.viewpoint = np.asarray(self.viewpoint, dtype=np.float64).reshape(3)
-        if self.radius_rn <= 0:
-            raise ValueError("radius_rn must be > 0")
+        if not 0 < self.radius_rn < np.inf:
+            raise ValueError("radius_rn must be > 0 and finite")
+        if not np.isfinite(self.viewpoint).all():
+            raise ValueError("viewpoint must be finite")
 
 
 @dataclass

@@ -54,8 +54,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("rbf kernel needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise ValueError("rbf kernel needs gamma > 0 and finite")
         elif self.gamma is not None:
             raise ValueError("linear kernel takes no gamma")
 
@@ -70,10 +70,10 @@ class TrainConfig:
     feature_set: str = "full"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.c < np.inf:
+            raise ValueError("c must be > 0 and finite")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be > 0 and finite")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
         if self.feature_set not in FEATURE_SETS:
@@ -241,14 +241,16 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
     def kernel_row(t):
         nonlocal kernel_rows
-        slot = slot_of.pop(t, None)
+        slot = slot_of.get(t)
         if slot is None:
             slot = len(slot_of) if len(slot_of) < slots \
                 else slot_of.popitem(last=False)[1]
             _kernel_row(points, sq, points[t], sq[t], config.kernel,
                         cache[slot])
             kernel_rows += 1
-        slot_of[t] = slot
+            slot_of[t] = slot
+        else:
+            slot_of.move_to_end(t)
         return cache[slot, :u]
 
     alpha = [0.0] * u
@@ -464,6 +466,24 @@ def _require(doc, key, types):
     return value
 
 
+def _floats(doc, key, ndim):
+    """Field ``key`` of ``doc``, a number (``ndim`` 0) or a list of numbers
+    (1) or of equal-length rows of numbers (2), as finite float64s."""
+    value = _require(doc, key, list if ndim else (int, float))
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    # an empty list of rows reads as 1-d
+    if arr is None or (arr.ndim != ndim and (ndim < 2 or arr.size)):
+        shape = ("a number", "a list of numbers",
+                 "a list of equal-length rows of numbers")[ndim]
+        raise ModelFormatError(f"model field {key!r} must be {shape}")
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"model field {key!r} holds a non-finite number")
+    return arr
+
+
 def load_model(path) -> SvmModel:
     """Read a model written by save_model, validating the schema and, with
     check_feature_set, the feature set named by its meta."""
@@ -477,25 +497,25 @@ def load_model(path) -> SvmModel:
     if version != MODEL_SCHEMA_VERSION:
         raise ModelFormatError(f"unsupported model schema version {version}")
     kind = _require(doc, "kernel", str)
-    gamma = doc.get("gamma")
-    if gamma is not None and not isinstance(gamma, (int, float)):
-        raise ModelFormatError("model field 'gamma' has the wrong type")
+    gamma = None if doc.get("gamma") is None else float(_floats(doc, "gamma", 0))
     try:
-        kernel = KernelSpec(kind, None if gamma is None else float(gamma))
+        kernel = KernelSpec(kind, gamma)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
-    c = float(_require(doc, "c", (int, float)))
+    c = float(_floats(doc, "c", 0))
+    if c <= 0:
+        raise ModelFormatError("model field 'c' must be > 0")
     scaling_doc = _require(doc, "scaling", dict)
-    mean = np.asarray(_require(scaling_doc, "mean", list), dtype=np.float64)
-    std = np.asarray(_require(scaling_doc, "std", list), dtype=np.float64)
-    sv = np.asarray(_require(doc, "support_vectors", list), dtype=np.float64)
-    coef = np.asarray(_require(doc, "dual_coefs", list), dtype=np.float64)
-    bias = float(_require(doc, "bias", (int, float)))
+    mean = _floats(scaling_doc, "mean", 1)
+    std = _floats(scaling_doc, "std", 1)
+    if (std < 0).any():
+        raise ModelFormatError("model field 'std' holds a negative number")
+    sv = _floats(doc, "support_vectors", 2)
+    coef = _floats(doc, "dual_coefs", 1)
+    bias = float(_floats(doc, "bias", 0))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("model field 'meta' has the wrong type")
-    if sv.ndim != 2 and sv.size > 0:
-        raise ModelFormatError("support_vectors must be a list of rows")
     if sv.size == 0:
         sv = sv.reshape(0, mean.size)
     if len(sv) != len(coef):

@@ -18,8 +18,8 @@ class OutlierParams:
     def __post_init__(self):
         if self.k_neighbours < 1:
             raise ValueError("k_neighbours must be >= 1")
-        if self.stddev_multiplier <= 0:
-            raise ValueError("stddev_multiplier must be > 0")
+        if not 0 < self.stddev_multiplier < np.inf:
+            raise ValueError("stddev_multiplier must be > 0 and finite")
 
 
 @dataclass
@@ -27,8 +27,8 @@ class VoxelParams:
     leaf_size: float = 0.002
 
     def __post_init__(self):
-        if self.leaf_size <= 0:
-            raise ValueError("leaf_size must be > 0")
+        if not 0 < self.leaf_size < np.inf:
+            raise ValueError("leaf_size must be > 0 and finite")
 
 
 def remove_statistical_outliers(cloud: PointCloud,

@@ -37,18 +37,20 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.body_radius <= 0 or self.peduncle_radius <= 0:
-            raise SceneSpecError("radii must be > 0")
-        if self.peduncle_length <= 0:
-            raise SceneSpecError("peduncle_length must be > 0")
-        if self.peduncle_curvature < 0:
-            raise SceneSpecError("peduncle_curvature must be >= 0")
+        if not (0 < self.body_radius < math.inf
+                and 0 < self.peduncle_radius < math.inf):
+            raise SceneSpecError("radii must be > 0 and finite")
+        if not 0 < self.peduncle_length < math.inf:
+            raise SceneSpecError("peduncle_length must be > 0 and finite")
+        if not 0 <= self.peduncle_curvature < math.inf:
+            raise SceneSpecError("peduncle_curvature must be >= 0 and finite")
         if self.peduncle_curvature * self.peduncle_length >= 2.0 * math.pi:
             raise SceneSpecError("peduncle arc would wrap onto itself")
         if not 0.0 <= self.body_hue <= 1.0 or not 0.0 <= self.peduncle_hue <= 1.0:
             raise SceneSpecError("hues must lie in [0, 1]")
-        if self.colour_noise_std < 0 or self.position_noise_std < 0:
-            raise SceneSpecError("noise levels must be >= 0")
+        if not (0 <= self.colour_noise_std < math.inf
+                and 0 <= self.position_noise_std < math.inf):
+            raise SceneSpecError("noise levels must be >= 0 and finite")
         if self.points_body < 1 or self.points_peduncle < 1:
             raise SceneSpecError("point counts must be >= 1")
 

@@ -191,6 +191,16 @@ reports = out
          "[normals] viewpoint = '0 0': expected three numbers"),
         ("[DEFAULT]\nleaf_size = 0.5\n[outlier]\nk_neighbours = 8\n",
          "unknown config section [DEFAULT]"),
+        ("[train]\nc = nan\n", "c must be > 0 and finite"),
+        ("[train]\nc = inf\n", "c must be > 0 and finite"),
+        ("[train]\ngamma = nan\n", "rbf kernel needs gamma > 0 and finite"),
+        ("[train]\ntolerance = inf\n", "tolerance must be > 0 and finite"),
+        ("[voxel]\nleaf_size = nan\n", "leaf_size must be > 0 and finite"),
+        ("[outlier]\nstddev_multiplier = inf\n",
+         "stddev_multiplier must be > 0 and finite"),
+        ("[normals]\nradius_rn = nan\n", "radius_rn must be > 0 and finite"),
+        ("[normals]\nviewpoint = 0 nan 0\n", "viewpoint must be finite"),
+        ("[features]\nradius_ri = inf\n", "radius_ri must be > 0 and finite"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
@@ -338,6 +348,18 @@ class TestPredict:
                        str(tmp_path / "out.cloud")])
         assert rc == 4
         assert "model" in capsys.readouterr().err
+
+    def test_ragged_model_exit_4(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir["base"] / "model.json").read_text())
+        doc["support_vectors"][0].pop()
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text(json.dumps(doc))
+        rc = cli.main(["--config", workdir["cfg"], "predict", str(ragged),
+                       str(workdir["data"] / "scene-000.cloud"),
+                       str(tmp_path / "out.cloud")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'support_vectors'" in err
 
     def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
                                                  capsys):

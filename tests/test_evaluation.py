@@ -1,5 +1,6 @@
 import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,26 @@ class TestEvaluateSlices:
         assert [r.slice_tag for r in reports] == [
             "overall", "trip-1", "trip-2", "red", "mixed"]
         assert_reports_equal(reports, reference_reports(model, test_m, cfg))
+
+    def test_every_slice_single_class_raises(self, mixed_model):
+        cfg, model, base = mixed_model
+        test_m = scene_dataset(base / "all-body", [("red", 1, 40, 0),
+                                                   ("green", 2, 41, 0)])
+        with pytest.raises(EvaluationError,
+                           match="every slice was single-class; nothing to "
+                                 "report"):
+            evaluate(model, test_m, cfg)
+
+    def test_non_finite_scores_named(self, mixed_model):
+        cfg, model, base = mixed_model
+        coefs = model.dual_coefs.copy()
+        coefs[0] = np.nan
+        broken = replace(model, dual_coefs=coefs)
+        test_m = scene_dataset(base / "nan", MIXED_SCENES[:2])
+        with pytest.raises(EvaluationError,
+                           match="every slice was skipped: scores contain "
+                                 "non-finite values; nothing to report"):
+            evaluate(broken, test_m, cfg)
 
     def test_no_labelled_points_raises(self, mixed_model):
         cfg, model, base = mixed_model

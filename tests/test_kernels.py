@@ -171,20 +171,22 @@ def record_bin_chunks(monkeypatch):
     return chunks
 
 
+def batch_bytes(union_size, queries):
+    """Bytes of a batch's int32 code table and int64 histogram."""
+    return union_size ** 2 * 4 + queries * _kernels._CODES * 8
+
+
 def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
     """Batches cover the queries with pairs once, in order; each one's union
-    is its members'; each keeps within the three limits unless it holds a
+    is its members'; each keeps within the byte budget unless it holds a
     single query; and none could also have held the next batch's first
     query."""
     members = query_members(valid, nbr_idx, nbr_off, queries)
     npairs = [m.size * (m.size - 1) // 2 for m in members]
-    item = _kernels._MISSING.itemsize
 
     def within(sel):
         union = np.unique(np.concatenate([members[q] for q in sel]))
-        return (sum(npairs[q] for q in sel) <= _kernels._PAIR_BATCH
-                and union.size ** 2 * item <= _kernels._TABLE_BYTES
-                and len(sel) * _kernels._CODES <= _kernels._CUBE_BINS)
+        return batch_bytes(union.size, len(sel)) <= _kernels._BATCH_BYTES
 
     order = np.concatenate([sel for sel, _u in batches])
     assert np.array_equal(order, np.flatnonzero(npairs))
@@ -200,24 +202,27 @@ class TestPfhNumpy:
     def test_pfh_histogram_row_structure(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng)
         queries = np.arange(len(xyz), dtype=np.int64)
-        counts, pairs = _kernels.pfh_pair_histograms(
+        counts = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         # each 11-bin block accumulates every scored pair exactly once
-        for block in range(3):
+        pairs = counts[:, :11].sum(axis=1)
+        assert pairs.sum() > 0
+        for block in range(1, 3):
             got = counts[:, block * 11:(block + 1) * 11].sum(axis=1)
             assert np.array_equal(got, pairs)
-        assert np.all(pairs[~valid[queries]] == 0)
+        assert np.all(counts[~valid[queries]] == 0)
 
     def test_numpy_batching_does_not_change_counts(self, rng, monkeypatch):
         xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=150)
         queries = np.arange(len(xyz), dtype=np.int64)
         big = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
-        monkeypatch.setattr(_kernels, "_PAIR_BATCH", 37)
+        monkeypatch.setattr(_kernels, "_BATCH_BYTES", batch_bytes(40, 4))
+        batches = record_batches(monkeypatch)
         small = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
-        assert np.array_equal(big[0], small[0])
-        assert np.array_equal(big[1], small[1])
+        assert len(batches) >= 3
+        assert np.array_equal(big, small)
 
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene])
@@ -233,8 +238,7 @@ class TestPfhNumpy:
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
         assert want[1].sum() > 0
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want[0])
 
     def test_edge_case_scene_holds_the_degenerate_pairs(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off, _r = edge_case_scene(rng)
@@ -243,14 +247,16 @@ class TestPfhNumpy:
             with pytest.raises(DegeneratePairError):
                 darboux_features(xyz[i], normals[i], xyz[j], normals[j])
 
+    # budgets of one query a batch, and of up to three queries over a narrow
+    # and over a wide union
     @pytest.mark.parametrize("limit, value", [
-        ("_PAIR_BATCH", 37),
-        ("_TABLE_BYTES", _kernels._MISSING.itemsize * 12 ** 2),
-        ("_CUBE_BINS", 3 * _kernels._CODES),
+        ("_BATCH_BYTES", 1),
+        ("_BATCH_BYTES", batch_bytes(12, 3)),
+        ("_BATCH_BYTES", batch_bytes(40, 3)),
         ("_BIN_BATCH", 37),
     ])
     @pytest.mark.parametrize("subset", [False, True])
-    @pytest.mark.parametrize("build", [scene, edge_case_scene])
+    @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene])
     def test_small_batches_equal_python_loops(self, rng, monkeypatch, build,
                                               subset, limit, value):
         xyz, normals, valid, nbr_idx, nbr_off, radius = build(rng)
@@ -269,8 +275,7 @@ class TestPfhNumpy:
         assert len(chunks if limit == "_BIN_BATCH" else batches) >= 3
         assert max(chunks) <= _kernels._BIN_BATCH
         assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want[0])
 
     def test_table_within_limit_when_every_point_is_in_every_neighbourhood(
             self, rng, monkeypatch):
@@ -279,16 +284,14 @@ class TestPfhNumpy:
         queries = np.arange(len(xyz), dtype=np.int64)
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
-        # a table of exactly the 40 points: the union never grows past them,
-        # so one table serves every query
-        monkeypatch.setattr(_kernels, "_TABLE_BYTES",
-                            40 ** 2 * _kernels._MISSING.itemsize)
+        # a budget of exactly a table of the 40 points and 40 histograms: the
+        # union never grows past them, so one table serves every query
+        monkeypatch.setattr(_kernels, "_BATCH_BYTES", batch_bytes(40, 40))
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         assert [(len(sel), union.size) for sel, union in batches] == [(40, 40)]
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want[0])
 
     def test_table_limit_cuts_interleaved_clusters(self, rng, monkeypatch):
         xyz, normals, valid, nbr_idx, nbr_off, radius = clustered_scene(rng)
@@ -296,15 +299,14 @@ class TestPfhNumpy:
         queries = np.arange(len(xyz), dtype=np.int64).reshape(5, 8).T.ravel()
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
-        monkeypatch.setattr(_kernels, "_TABLE_BYTES",
-                            16 ** 2 * _kernels._MISSING.itemsize)
+        # room for two queries of two clusters, not for a third cluster
+        monkeypatch.setattr(_kernels, "_BATCH_BYTES", batch_bytes(16, 2))
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
         assert max(union.size for _sel, union in batches) == 16
         assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want[0])
 
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene])

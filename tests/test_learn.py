@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1216,6 +1217,14 @@ class TestModelFile:
         lambda d: d.update(dual_coefs=d["dual_coefs"][:-1]),
         lambda d: d["scaling"].pop("std"),
         lambda d: d["meta"].update(feature_set="bogus"),
+        lambda d: d["support_vectors"][0].__setitem__(0, math.nan),
+        lambda d: d.update(bias=math.inf),
+        lambda d: d["scaling"]["std"].__setitem__(0, -1.0),
+        lambda d: d.update(c=-5),
+        lambda d: d.update(c=10 ** 400),
+        lambda d: d.update(gamma=math.nan),
+        lambda d: d["support_vectors"][0].append(1.0),
+        lambda d: d["support_vectors"][0].__setitem__(0, "x"),
     ])
     def test_schema_violations_rejected(self, rng, tmp_path, mutate):
         x = rng.normal(size=(10, 3))
@@ -1227,6 +1236,28 @@ class TestModelFile:
         mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("bias", "1e400", "'bias' holds a non-finite number"),
+        pytest.param("c", "1" + "0" * 400, "'c' must be a number",
+                     id="c-400-digits"),
+        ("gamma", "NaN", "'gamma' holds a non-finite number"),
+        ("c", "0", "'c' must be > 0"),
+        ("dual_coefs", "[1, [2]]", "'dual_coefs' must be a list of numbers"),
+        ("support_vectors", "[[1, 2, 3], [1, 2]]",
+         "'support_vectors' must be a list of equal-length rows"),
+    ])
+    def test_unscorable_value_names_its_field(self, rng, tmp_path, field,
+                                              value, message):
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[field] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     @pytest.mark.parametrize("subset, width", [("full", 3), ("pfh", 3),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -25,6 +26,10 @@ class TestSceneSpec:
         {"points_body": 0},
         {"points_peduncle": 0},
         {"peduncle_curvature": 250.0, "peduncle_length": 0.03},  # wraps
+        {"body_radius": math.nan},
+        {"peduncle_length": math.inf},
+        {"peduncle_curvature": math.nan},
+        {"position_noise_std": math.inf},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(SceneSpecError):
