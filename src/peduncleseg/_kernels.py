@@ -10,7 +10,12 @@ binned but never looked up.  Each pair is binned once into one packed
 code ``ba * 121 + bp * 11 + bt`` (``1331`` for a pair the histograms
 skip); a default scene holds about 28 pair instances per unique pair.  It
 bins the pairs ``_BIN_BATCH`` at a time, so the float temporaries of
-binning stay within the CPU cache.  It then takes the queries in batches.
+binning stay within the CPU cache; the source of a pair, the end whose
+normal lies closer to the join line, is picked by index, not by a float
+select, so no branch depends on the swap mask.  It then takes the queries
+in the leaf order of the pairs' KD-tree, so that consecutive queries lie
+close together, and cuts them into batches of consecutive queries: each
+batch is a compact block of space whose members overlap.
 A batch renumbers the union U of its members to 0..|U|-1 and scatters the
 codes of the pairs with both ends in U into a dense |U| x |U| int32 table
 that starts filled with a "missing" sentinel, so each pair instance costs
@@ -73,41 +78,49 @@ def _pair_table(xyz, members, radius):
     other, grouped by j with a stable sort (a radix sort below 65 536
     members): a superset of the pairs that share a neighbourhood.  The
     search radius is widened by 1e-9 of itself, so that rounding drops no
-    pair."""
-    queried = np.zeros(xyz.shape[0], dtype=bool)
+    pair.  Also, per point, the rank of each member in the leaf order of
+    the KD-tree the pairs come from (other points rank 0): members close in
+    rank lie close in space."""
+    n = xyz.shape[0]
+    queried = np.zeros(n, dtype=bool)
     queried[members] = True
     pts = np.flatnonzero(queried)
-    pairs = cKDTree(xyz[pts]).query_pairs(2.0 * radius * (1.0 + 1e-9),
-                                          output_type="ndarray")
+    tree = cKDTree(xyz[pts])
+    pairs = tree.query_pairs(2.0 * radius * (1.0 + 1e-9), output_type="ndarray")
     key = pairs[:, 1].astype(np.min_scalar_type(pts.size - 1))
-    order = np.argsort(key, kind="stable")
-    return pts[pairs[order, 1]], pts[pairs[order, 0]]
+    pairs = pairs.take(np.argsort(key, kind="stable"), axis=0)
+    leaf_rank = np.zeros(n, dtype=np.int64)
+    leaf_rank[pts[tree.indices]] = np.arange(pts.size)
+    return pts[pairs[:, 1]], pts[pairs[:, 0]], leaf_rank
 
 
 def _bin_codes(i_arr, j_arr, xyz, normals):
     """Packed code ``ba * 121 + bp * 11 + bt`` of each pair (i, j), from its
     alpha, phi and theta bins, or ``_SKIP`` for coincident points and for a
     source normal parallel to the join line.  The arithmetic is that of a
-    scalar loop over the pair's coordinates, operation for operation."""
+    scalar loop over the pair's coordinates, operation for operation.
+
+    Positions and normals are gathered as whole rows.  The source and target
+    normals are gathered by index, ``src = i + swap * (j - i)``, and the
+    line's sign is ``1 - 2 * swap``, so no float select branches on the
+    swap mask, which is as good as random."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        dx = xyz[j_arr, 0] - xyz[i_arr, 0]
-        dy = xyz[j_arr, 1] - xyz[i_arr, 1]
-        dz = xyz[j_arr, 2] - xyz[i_arr, 2]
+        diff = xyz.take(j_arr, axis=0) - xyz.take(i_arr, axis=0)
+        dx, dy, dz = diff[:, 0], diff[:, 1], diff[:, 2]
         d2 = dx * dx + dy * dy + dz * dz
         d = np.sqrt(d2)
         ux, uy, uz = dx / d, dy / d, dz / d
-        nix, niy, niz = normals[i_arr, 0], normals[i_arr, 1], normals[i_arr, 2]
-        njx, njy, njz = normals[j_arr, 0], normals[j_arr, 1], normals[j_arr, 2]
-        dot_i = nix * ux + niy * uy + niz * uz
-        dot_j = njx * ux + njy * uy + njz * uz
+        ni = normals.take(i_arr, axis=0)
+        nj = normals.take(j_arr, axis=0)
+        dot_i = ni[:, 0] * ux + ni[:, 1] * uy + ni[:, 2] * uz
+        dot_j = nj[:, 0] * ux + nj[:, 1] * uy + nj[:, 2] * uz
         swap = np.abs(dot_i) < np.abs(dot_j)
-        sx = np.where(swap, njx, nix)
-        sy = np.where(swap, njy, niy)
-        sz = np.where(swap, njz, niz)
-        tx = np.where(swap, nix, njx)
-        ty = np.where(swap, niy, njy)
-        tz = np.where(swap, niz, njz)
-        sign = np.where(swap, -1.0, 1.0)
+        src = i_arr + swap * (j_arr - i_arr)
+        s = normals.take(src, axis=0)
+        t = normals.take(i_arr + j_arr - src, axis=0)
+        sx, sy, sz = s[:, 0], s[:, 1], s[:, 2]
+        tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
+        sign = 1.0 - 2.0 * swap
         usx, usy, usz = sign * ux, sign * uy, sign * uz
         cx = sy * usz - sz * usy
         cy = sz * usx - sx * usz
@@ -201,7 +214,10 @@ def pfh_pair_histograms(xyz, normals, valid, nbr_idx, nbr_off, radius, queries):
     if not active.size:
         return counts
 
-    pair_j, pair_i = _pair_table(xyz, members, radius)
+    pair_j, pair_i, leaf_rank = _pair_table(xyz, members, radius)
+    # a valid query is a member of its own list, so it has a leaf rank:
+    # queries taken in leaf order cut into spatially compact batches
+    active = active[np.argsort(leaf_rank[queries[active]], kind="stable")]
     codes = _pair_codes(pair_i, pair_j, xyz, normals)
     # table pairs by larger end: those of point j are row_off[j]:row_off[j + 1]
     row_off = np.concatenate(([0], np.cumsum(np.bincount(pair_j, minlength=n))))

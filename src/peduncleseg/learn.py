@@ -199,6 +199,10 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     labels = np.asarray(features.labels)
     if x.ndim != 2 or len(x) == 0:
         raise TrainingError("need a non-empty 2-d feature matrix")
+    width = _set_width(config.feature_set)
+    if x.shape[1] != width:
+        raise TrainingError(f"feature set {config.feature_set!r} has {width} "
+                            f"columns, but the matrix has {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise TrainingError("feature matrix contains non-finite values")
     if np.any(labels < 0):
@@ -438,7 +442,9 @@ def predict_parallel(model: SvmModel, features, workers: int = 1):
 
 
 def save_model(model: SvmModel, path):
-    """Write the model as JSON; floats round-trip exactly via repr."""
+    """Write the model as JSON; floats round-trip exactly via repr.  A model
+    that load_model would refuse raises ModelFormatError before anything is
+    written."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kernel": model.kernel.kind,
@@ -453,6 +459,7 @@ def save_model(model: SvmModel, path):
         "bias": model.bias,
         "meta": model.meta,
     }
+    _model_from_doc(doc)
     with replaced(path) as fh:   # json escapes every non-ASCII character
         fh.write(json.dumps(doc, indent=1) + "\n")
 
@@ -491,6 +498,12 @@ def load_model(path) -> SvmModel:
         doc = json.loads(read_text(path, ModelFormatError, "ascii"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    return _model_from_doc(doc)
+
+
+def _model_from_doc(doc) -> SvmModel:
+    """The model a parsed model document describes, once every field and the
+    feature set named by its meta pass their checks."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
     version = _require(doc, "schema_version", int)
@@ -527,13 +540,18 @@ def load_model(path) -> SvmModel:
     return model
 
 
+def _set_width(subset):
+    """Columns of the rows of the named feature set."""
+    return FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
+
+
 def check_feature_set(model: SvmModel):
     """Raise ModelFormatError unless the feature set named by the model's
     meta is known and as wide as its vectors."""
     subset = model.meta.get("feature_set", "full")
     if subset not in FEATURE_SETS:
         raise ModelFormatError(f"model meta names unknown feature set {subset!r}")
-    width = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
+    width = _set_width(subset)
     columns = model.scaling.mean.size
     if width != columns:
         raise ModelFormatError(f"model meta names feature set {subset!r} of "

@@ -194,7 +194,9 @@ def test_criterion_4_smo_against_qp_oracle(rng):
     worst_obj = 0.0
     for trial in range(10):
         n = int(rng.integers(8, 21))
-        x = rng.normal(size=(n, 4))
+        # zero columns up to the full set's 36 scale to zero: the problem
+        # is that of the 4 random columns
+        x = np.pad(rng.normal(size=(n, 4)), ((0, 0), (0, 32)))
         labels = np.zeros(n, dtype=np.int8)
         labels[rng.permutation(n)[:n // 2]] = 1
         kernel = KernelSpec("rbf", 0.5) if trial % 2 else \
@@ -234,7 +236,8 @@ def test_criterion_4_smo_against_qp_oracle(rng):
         assert np.all(np.abs(margins[free] - 1.0) <= 1e-3)
 
     xor = FeatureMatrix(
-        np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+        np.pad([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+               ((0, 0), (0, 34))),
         np.array([0, 0, 1, 1], dtype=np.int8), np.ones(4, dtype=bool))
     rbf = train_svm(xor, TrainConfig(kernel=KernelSpec("rbf", 1.0), c=100.0,
                                      tolerance=1e-6, max_passes=1000))

@@ -176,11 +176,21 @@ def batch_bytes(union_size, queries):
     return union_size ** 2 * 4 + queries * _kernels._CODES * 8
 
 
-def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
-    """Batches cover the queries with pairs once, in order; each one's union
-    is its members'; each keeps within the byte budget unless it holds a
-    single query; and none could also have held the next batch's first
-    query."""
+def leaf_order(xyz, members, queries, active):
+    """Positions ``active`` of ``queries`` in the order the PFH kernel takes
+    them: by their query point's place in the leaf order of a KD-tree over
+    every queried member, ties in position order."""
+    pts = np.unique(np.concatenate(members))
+    rank = np.zeros(len(xyz), dtype=np.int64)
+    rank[pts[cKDTree(xyz[pts]).indices]] = np.arange(pts.size)
+    return active[np.argsort(rank[queries[active]], kind="stable")]
+
+
+def assert_batches_within_limits(batches, xyz, valid, nbr_idx, nbr_off, queries):
+    """Batches cover the queries with pairs once each, in the kernel's leaf
+    order; each one's union is its members'; each keeps within the byte
+    budget unless it holds a single query; and none could also have held
+    the next batch's first query."""
     members = query_members(valid, nbr_idx, nbr_off, queries)
     npairs = [m.size * (m.size - 1) // 2 for m in members]
 
@@ -189,7 +199,9 @@ def assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries):
         return batch_bytes(union.size, len(sel)) <= _kernels._BATCH_BYTES
 
     order = np.concatenate([sel for sel, _u in batches])
-    assert np.array_equal(order, np.flatnonzero(npairs))
+    active = np.flatnonzero(npairs)
+    assert np.array_equal(np.sort(order), active)
+    assert np.array_equal(order, leaf_order(xyz, members, queries, active))
     for b, (sel, union) in enumerate(batches):
         assert np.array_equal(union,
                               np.unique(np.concatenate([members[q] for q in sel])))
@@ -274,7 +286,8 @@ class TestPfhNumpy:
         # the limit under test cuts the work into three pieces or more
         assert len(chunks if limit == "_BIN_BATCH" else batches) >= 3
         assert max(chunks) <= _kernels._BIN_BATCH
-        assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
+        assert_batches_within_limits(batches, xyz, valid, nbr_idx, nbr_off,
+                                     queries)
         assert np.array_equal(got, want[0])
 
     def test_table_within_limit_when_every_point_is_in_every_neighbourhood(
@@ -295,18 +308,40 @@ class TestPfhNumpy:
 
     def test_table_limit_cuts_interleaved_clusters(self, rng, monkeypatch):
         xyz, normals, valid, nbr_idx, nbr_off, radius = clustered_scene(rng)
-        # one query from each cluster in turn, so every query widens the union
+        # one query from each cluster in turn; the kernel regroups them
         queries = np.arange(len(xyz), dtype=np.int64).reshape(5, 8).T.ravel()
         want = pfh_histograms_loops(
             xyz, normals, valid, nbr_idx, nbr_off, queries)
-        # room for two queries of two clusters, not for a third cluster
-        monkeypatch.setattr(_kernels, "_BATCH_BYTES", batch_bytes(16, 2))
+        # room for two queries over one cluster, not over two: a batch is cut
+        # where its next query would bring in a second cluster
+        monkeypatch.setattr(_kernels, "_BATCH_BYTES", batch_bytes(8, 2))
         batches = record_batches(monkeypatch)
         got = _kernels.pfh_pair_histograms(
             xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
-        assert max(union.size for _sel, union in batches) == 16
-        assert_batches_within_limits(batches, valid, nbr_idx, nbr_off, queries)
+        assert len(batches) < len(queries)
+        assert all(union.size == 8 for _sel, union in batches)
+        # a batch of one query that two would fit: cut by its union
+        assert any(len(sel) == 1 for sel, _union in batches[:-1])
+        assert_batches_within_limits(batches, xyz, valid, nbr_idx, nbr_off,
+                                     queries)
         assert np.array_equal(got, want[0])
+
+    @pytest.mark.parametrize("budget", [None, batch_bytes(40, 3)])
+    def test_permuted_queries_permute_rows(self, rng, monkeypatch, budget):
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng)
+        n = len(xyz)
+        queries = np.arange(n, dtype=np.int64)
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "_BATCH_BYTES", budget)
+        whole = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, radius, queries)
+        # shuffled, with a third of the points asked for twice
+        perm = rng.permutation(np.concatenate([queries, queries[::3]]))
+        got = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, radius, perm)
+        assert whole[:, :NBINS].sum() > 0
+        assert got.dtype == whole.dtype
+        assert np.array_equal(got, whole[perm])
 
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("build", [scene, edge_case_scene, clustered_scene])
@@ -320,8 +355,11 @@ class TestPfhNumpy:
         member_off = np.concatenate(([0], np.cumsum([m.size for m in members])))
         members = np.concatenate(members)
         want_j, want_i = pair_table_shared(members, member_off, n)
-        got_j, got_i = _kernels._pair_table(xyz, members, radius)
+        got_j, got_i, rank = _kernels._pair_table(xyz, members, radius)
         assert want_j.size > 0
+        # each queried member has its own leaf rank
+        pts = np.unique(members)
+        assert np.array_equal(np.sort(rank[pts]), np.arange(pts.size))
         # distinct pairs (j, i), i < j, grouped by j
         assert np.all(got_i < got_j) and np.all(np.diff(got_j) >= 0)
         got = got_j * n + got_i
@@ -338,7 +376,8 @@ class TestPfhNumpy:
             step *= rng.uniform(0.001, 0.01) / np.linalg.norm(step)
             xyz = np.array([centre, centre - step, centre + step])
             radius = math.sqrt(float(((xyz - centre) ** 2).sum(axis=1).max()))
-            pair_j, pair_i = _kernels._pair_table(xyz, np.arange(3), radius)
+            pair_j, pair_i, _rank = _kernels._pair_table(xyz, np.arange(3),
+                                                         radius)
             assert (2, 1) in zip(pair_j.tolist(), pair_i.tolist())
 
     # 200 and 1 000 points take 8- and 16-bit keys, 70 000 a 32-bit key
@@ -349,7 +388,7 @@ class TestPfhNumpy:
         pairs = cKDTree(xyz).query_pairs(2.0 * radius * (1.0 + 1e-9),
                                          output_type="ndarray")
         order = np.argsort(pairs[:, 1].astype(np.int64), kind="stable")
-        pair_j, pair_i = _kernels._pair_table(xyz, np.arange(n), radius)
+        pair_j, pair_i, _rank = _kernels._pair_table(xyz, np.arange(n), radius)
         assert pairs.shape[0] > n // 2
         assert np.array_equal(pair_j, pairs[order, 1])
         assert np.array_equal(pair_i, pairs[order, 0])
@@ -411,6 +450,129 @@ class TestBinning:
             assert self.bins(inside, 0.0, 0.0) == (b, 5, 5)
             assert self.bins(0.0, inside, 0.0) == (5, b, 5)
             assert self.bins(0.0, 0.0, -math.pi + (b + 0.5) * theta_width) == (5, 5, b)
+
+
+def bin_codes_frozen(i_arr, j_arr, xyz, normals):
+    """The oracle for ``_kernels._bin_codes``: a frozen copy of its
+    column-gather, float-select form, whose codes the PFH counts were first
+    checked against."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = xyz[j_arr, 0] - xyz[i_arr, 0]
+        dy = xyz[j_arr, 1] - xyz[i_arr, 1]
+        dz = xyz[j_arr, 2] - xyz[i_arr, 2]
+        d2 = dx * dx + dy * dy + dz * dz
+        d = np.sqrt(d2)
+        ux, uy, uz = dx / d, dy / d, dz / d
+        nix, niy, niz = normals[i_arr, 0], normals[i_arr, 1], normals[i_arr, 2]
+        njx, njy, njz = normals[j_arr, 0], normals[j_arr, 1], normals[j_arr, 2]
+        dot_i = nix * ux + niy * uy + niz * uz
+        dot_j = njx * ux + njy * uy + njz * uz
+        swap = np.abs(dot_i) < np.abs(dot_j)
+        sx = np.where(swap, njx, nix)
+        sy = np.where(swap, njy, niy)
+        sz = np.where(swap, njz, niz)
+        tx = np.where(swap, nix, njx)
+        ty = np.where(swap, niy, njy)
+        tz = np.where(swap, niz, njz)
+        sign = np.where(swap, -1.0, 1.0)
+        usx, usy, usz = sign * ux, sign * uy, sign * uz
+        cx = sy * usz - sz * usy
+        cy = sz * usx - sx * usz
+        cz = sx * usy - sy * usx
+        c2 = cx * cx + cy * cy + cz * cz
+        cn = np.sqrt(c2)
+        vx, vy, vz = cx / cn, cy / cn, cz / cn
+        wx = sy * vz - sz * vy
+        wy = sz * vx - sx * vz
+        wz = sx * vy - sy * vx
+        alpha = vx * tx + vy * ty + vz * tz
+        phi = sx * usx + sy * usy + sz * usz
+        theta = np.arctan2(wx * tx + wy * ty + wz * tz, sx * tx + sy * ty + sz * tz)
+        codes = _kernels._pack_bins(alpha, phi, theta).astype(np.uint16)
+    codes[~((d2 > 0.0) & (c2 >= DEGENERATE_CROSS_SQ))] = _kernels._SKIP
+    return codes
+
+
+def all_pairs(n):
+    """Every ordered pair (i, j) of n points, i == j included."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return i.ravel(), j.ravel()
+
+
+class TestBinCodes:
+    """``_kernels._bin_codes`` against its frozen column-gather form, code
+    for code, on pairs that hit each of its branches and signed zeros."""
+
+    @staticmethod
+    def assert_codes_equal(i_arr, j_arr, xyz, normals):
+        got = _kernels._bin_codes(i_arr, j_arr, xyz, normals)
+        want = bin_codes_frozen(i_arr, j_arr, xyz, normals)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        return got
+
+    def test_random_pairs(self, rng):
+        xyz = rng.normal(size=(200, 3)) * 0.02
+        normals = rng.normal(size=(200, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        i_arr, j_arr = rng.integers(0, 200, size=(2, 5000))
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        assert np.unique(codes).size > 500
+
+    def test_coincident_points(self, rng):
+        xyz = rng.normal(size=(20, 3)) * 0.01
+        xyz[10:] = xyz[:10]
+        normals = rng.normal(size=(20, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        i_arr, j_arr = all_pairs(20)
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        assert np.all(codes[i_arr % 10 == j_arr % 10] == _kernels._SKIP)
+
+    def test_parallel_normals(self, rng):
+        # normals along the join line, and equal normals off it
+        xyz = rng.normal(size=(30, 3)) * 0.01
+        normals = np.repeat(rng.normal(size=(1, 3)), 30, axis=0)
+        normals[:10] = xyz[10:20] - xyz[:10]
+        normals[10:20] = -normals[:10]
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        i_arr, j_arr = all_pairs(30)
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        assert np.all(codes[np.arange(10) * 31 + 10] == _kernels._SKIP)
+        assert np.count_nonzero(codes == _kernels._SKIP) > 30
+
+    def test_axis_aligned_pairs_and_ties(self):
+        # a 3 x 3 x 3 grid with axis normals: differences and products are
+        # exact zeros of either sign, and |dot_i| == |dot_j| for most pairs
+        g = np.arange(3) * 0.01
+        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        xyz = np.repeat(grid, len(axes), axis=0)
+        normals = np.tile(axes, (len(grid), 1))
+        i_arr, j_arr = all_pairs(len(xyz))
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        diff = xyz[j_arr] - xyz[i_arr]
+        dot_i = np.einsum("ij,ij->i", normals[i_arr], diff)
+        dot_j = np.einsum("ij,ij->i", normals[j_arr], diff)
+        assert np.count_nonzero((diff == 0.0).any(axis=1) & (diff != 0.0).any(axis=1)) > 0
+        tie = (np.abs(dot_i) == np.abs(dot_j)) & (diff != 0.0).any(axis=1)
+        assert np.count_nonzero(tie & (codes != _kernels._SKIP)) > 1000
+        assert np.unique(codes).size > 20
+
+    def test_ties_of_equal_and_opposite_normals(self, rng):
+        # n_j = +-n_i makes dot_j = +-dot_i bit for bit: a tie at every pair
+        xyz = rng.normal(size=(400, 3)) * 0.01
+        normals = rng.normal(size=(400, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        normals[1::4] = normals[0::4]
+        normals[3::4] = -normals[2::4]
+        i_arr, j_arr = np.arange(0, 400, 2), np.arange(1, 400, 2)
+        diff = xyz[j_arr] - xyz[i_arr]
+        dot_i = np.einsum("ij,ij->i", normals[i_arr], diff)
+        dot_j = np.einsum("ij,ij->i", normals[j_arr], diff)
+        assert np.array_equal(np.abs(dot_i), np.abs(dot_j))
+        for a, b in ((i_arr, j_arr), (j_arr, i_arr)):
+            codes = self.assert_codes_equal(a, b, xyz, normals)
+            assert np.count_nonzero(codes != _kernels._SKIP) > 150
 
 
 class TestMomentCorrectness:

@@ -29,8 +29,17 @@ def matrix(values, labels):
     return FeatureMatrix(values, labels, np.ones(len(values), dtype=bool))
 
 
+def full_width(x):
+    """x with zero columns appended up to the 36 of the full feature set,
+    which train_svm holds a matrix to: a constant column scales to zero, so
+    it adds only zero terms to each kernel value."""
+    x = np.asarray(x, dtype=np.float64)
+    width = FEATURE_SLICES["full"].stop
+    return np.pad(x, ((0, 0), (0, width - x.shape[1])))
+
+
 def random_problem(rng, n=16, d=4, kernel=None):
-    x = rng.normal(size=(n, d))
+    x = full_width(rng.normal(size=(n, d)))
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.permutation(n)[:n // 2]] = 1
     kernel = kernel or KernelSpec("rbf", 0.5)
@@ -315,7 +324,7 @@ class TestSmoAgainstReferenceLoop:
         (KernelSpec("rbf", 0.05), 515, 100.0, 1, False),
     ])
     def test_bit_identical(self, rng, kernel, n, c, max_passes, converges):
-        x = rng.normal(size=(n, 5))
+        x = full_width(rng.normal(size=(n, 5)))
         labels = (x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int8)
         config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
                              max_passes=max_passes)
@@ -345,7 +354,7 @@ class TestSmoAgainstReferenceLoop:
     ])
     def test_bit_identical_at_the_box(self, kernel, seed, n, c, fallback):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, 5))
+        x = full_width(rng.normal(size=(n, 5)))
         labels = (x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int8)
         config = TrainConfig(kernel=kernel, c=c, tolerance=1e-3,
                              max_passes=50)
@@ -359,12 +368,12 @@ class TestSmoAgainstReferenceLoop:
 
 def repeated_problem(rng, base=40, d=3):
     """base distinct rows, each repeated 2 to 5 times, in shuffled order,
-    and one more row: row 0's x under the other label."""
+    and one more row: row 0's x under the other label, all at full width."""
     x = rng.normal(size=(base, d))
     labels = (x[:, 0] + 0.5 * rng.normal(size=base) > 0).astype(np.int8)
     pick = np.append(np.repeat(np.arange(base), rng.integers(2, 6, size=base)),
                      0)
-    x, labels = x[pick], labels[pick]
+    x, labels = full_width(x[pick]), labels[pick]
     labels[-1] = 1 - labels[-1]
     order = rng.permutation(len(x))
     return x[order], labels[order]
@@ -786,7 +795,7 @@ class TestGram:
     def test_training_holds_one_matrix(self, kernel):
         rng = np.random.default_rng(7)
         n = 2001
-        x = rng.normal(size=(n, 8))
+        x = full_width(rng.normal(size=(n, 8)))
         labels = (x[:, 0] > 0).astype(np.int8)
         fm = matrix(x, labels)
         config = TrainConfig(kernel=kernel, c=1.0, max_passes=1)
@@ -893,13 +902,14 @@ class TestScalingApply:
 
 
 class TestRowCache:
-    n, d = 2001, 8
+    n, d = 2001, 3
 
     def problem(self, kernel):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(self.n, self.d))
         labels = (x[:, 0] + 0.5 * rng.normal(size=self.n) > 0)
-        config = TrainConfig(kernel=kernel, c=1.0, max_passes=1)
+        config = TrainConfig(kernel=kernel, c=1.0, max_passes=1,
+                             feature_set="hsv")
         return matrix(x, labels.astype(np.int8)), config
 
     @pytest.mark.parametrize("kernel", TestGram.kernels)
@@ -938,7 +948,7 @@ class TestRowCache:
 
     def test_evicts_least_recently_used_row(self, monkeypatch):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(400, 5))
+        x = full_width(rng.normal(size=(400, 5)))
         labels = (x[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(np.int8)
         config = TrainConfig(kernel=KernelSpec("rbf", 0.3), c=1.0,
                              max_passes=1)
@@ -976,7 +986,8 @@ x = rng.normal(size=(n, d))
 labels = (x[:, 0] + np.sin(3 * x[:, 1]) + rng.normal(size=n) > 0)
 fm = FeatureMatrix(x, labels.astype(np.int8), np.ones(n, dtype=bool))
 model = train_svm(fm, TrainConfig(kernel=KernelSpec("rbf", 0.5), c=100.0,
-                                  max_passes=1))
+                                  max_passes=1,
+                                  feature_set="hsv" if d == 3 else "full"))
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "model.json")
     save_model(model, path)
@@ -1029,7 +1040,7 @@ class TestMaxPassesReport:
 
 class TestClosedFormTwoPoint:
     def test_two_point_max_margin(self):
-        fm = matrix([[0.0], [1.0]], [0, 1])
+        fm = matrix(full_width([[0.0], [1.0]]), [0, 1])
         config = TrainConfig(kernel=KernelSpec("linear", None), c=10.0,
                              tolerance=1e-9, max_passes=1000)
         model = train_svm(fm, config)
@@ -1045,7 +1056,7 @@ class TestClosedFormTwoPoint:
 
 
 class TestXor:
-    xor_x = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+    xor_x = full_width([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     xor_y = [0, 0, 1, 1]
 
     def test_rbf_solves_xor(self):
@@ -1070,7 +1081,7 @@ class TestSeparable:
     def test_linearly_separable_perfect(self, rng):
         pos = rng.normal(size=(20, 2)) + [4.0, 4.0]
         neg = rng.normal(size=(20, 2)) - [4.0, 4.0]
-        fm = matrix(np.vstack([pos, neg]), [1] * 20 + [0] * 20)
+        fm = matrix(full_width(np.vstack([pos, neg])), [1] * 20 + [0] * 20)
         model = train_svm(fm, TrainConfig(kernel=KernelSpec("linear", None),
                                           c=100.0))
         labels, scores, _t = predict_parallel(model, fm)
@@ -1082,35 +1093,45 @@ class TestTrainingValidation:
     def test_single_class_rejected(self, rng):
         fm = matrix(rng.normal(size=(8, 3)), [1] * 8)
         with pytest.raises(TrainingError):
-            train_svm(fm, TrainConfig())
+            train_svm(fm, TrainConfig(feature_set="hsv"))
 
     def test_unlabelled_rows_rejected(self, rng):
         fm = matrix(rng.normal(size=(8, 3)), [0, 1, 0, 1, -1, 1, 0, 1])
         with pytest.raises(TrainingError):
-            train_svm(fm, TrainConfig())
+            train_svm(fm, TrainConfig(feature_set="hsv"))
 
     def test_invalid_rows_rejected(self, rng):
         fm = matrix(rng.normal(size=(8, 3)), [0, 1] * 4)
         fm.valid[3] = False
         with pytest.raises(TrainingError):
-            train_svm(fm, TrainConfig())
+            train_svm(fm, TrainConfig(feature_set="hsv"))
 
     def test_non_finite_rejected(self, rng):
         values = rng.normal(size=(8, 3))
         values[2, 1] = np.nan
         fm = matrix(values, [0, 1] * 4)
         with pytest.raises(TrainingError):
-            train_svm(fm, TrainConfig())
+            train_svm(fm, TrainConfig(feature_set="hsv"))
 
     def test_constant_columns_handled(self, rng):
         values = rng.normal(size=(12, 3))
         values[:, 1] = 7.5   # constant dim must scale to 0, not NaN
         labels = np.array([0, 1] * 6, dtype=np.int8)
         values[labels == 1, 0] += 5.0
-        model = train_svm(matrix(values, labels), TrainConfig())
+        model = train_svm(matrix(values, labels), TrainConfig(feature_set="hsv"))
         assert model.scaling.std[1] == 0.0
         scores = decision_scores(model, values)
         assert np.all(np.isfinite(scores))
+
+    @pytest.mark.parametrize("subset, width", [("full", 3), ("full", 35),
+                                               ("pfh", 36), ("hsv", 2)])
+    def test_matrix_not_as_wide_as_its_set_rejected(self, rng, subset, width):
+        fm = matrix(rng.normal(size=(8, width)), [0, 1] * 4)
+        cols = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
+        with pytest.raises(TrainingError,
+                           match=f"feature set {subset!r} has {cols} columns, "
+                                 f"but the matrix has {width}"):
+            train_svm(fm, TrainConfig(feature_set=subset))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -1138,7 +1159,7 @@ class TestDeterminism:
 
 class TestParallelPredict:
     def train_toy(self, rng, n=200, d=6):
-        x = rng.normal(size=(n, d))
+        x = full_width(rng.normal(size=(n, d)))
         labels = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(np.int8)
         fm = matrix(x, labels)
         model = train_svm(fm, TrainConfig(kernel=KernelSpec("rbf", 0.2),
@@ -1166,7 +1187,7 @@ class TestParallelPredict:
     def test_dimension_mismatch_rejected(self, rng):
         model, _fm = self.train_toy(rng, d=6)
         with pytest.raises(ValueError):
-            decision_scores(model, np.zeros((4, 5)))
+            decision_scores(model, np.zeros((4, 35)))
 
 
 class TestModelFile:
@@ -1264,19 +1285,56 @@ class TestModelFile:
                                                ("hsv", 36), ("full", 33)])
     def test_feature_set_width_mismatch_rejected(self, rng, tmp_path, subset,
                                                  width):
+        # train_svm and save_model refuse such a model, so a file of a model
+        # of the set that is width wide gets the other set's name
         x = rng.normal(size=(10, width))
-        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set=subset))
+        trained = {3: "hsv", 33: "pfh", 36: "full"}[width]
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set=trained))
         path = tmp_path / "model.json"
         save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["feature_set"] = subset
+        path.write_text(json.dumps(doc))
         cols = FEATURE_SLICES[subset].stop - FEATURE_SLICES[subset].start
         with pytest.raises(ModelFormatError,
                            match=f"feature set {subset!r} of {cols} columns, "
                                  f"but its vectors have {width}"):
             load_model(path)
 
+    # models load_model would refuse, each spoiled in memory after training
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda m: m.support_vectors.__setitem__((0, 0), math.nan),
+         "'support_vectors' holds a non-finite number"),
+        (lambda m: m.dual_coefs.__setitem__(0, math.inf),
+         "'dual_coefs' holds a non-finite number"),
+        (lambda m: setattr(m, "bias", math.nan),
+         "'bias' holds a non-finite number"),
+        (lambda m: m.scaling.std.__setitem__(0, -1.0),
+         "'std' holds a negative number"),
+        (lambda m: setattr(m, "c", 0.0), "'c' must be > 0"),
+        (lambda m: m.meta.update(feature_set="pfh"),
+         "feature set 'pfh' of 33 columns, but its vectors have 3"),
+    ])
+    def test_save_refuses_what_load_refuses(self, rng, tmp_path, spoil,
+                                            message):
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        spoil(model)
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            save_model(model, path)
+        # the old model stays, and no temporary file is left
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert path.read_bytes() == before
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            save_model(model, tmp_path / "new.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_failed_dump_keeps_the_old_model(self, rng, tmp_path, monkeypatch):
-        x = rng.normal(size=(10, 2))
-        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig())
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
         path = tmp_path / "model.json"
         save_model(model, path)
         before = path.read_bytes()
