@@ -31,8 +31,8 @@ grow with it, and a batch is cut before their bytes together would pass
 scenes alike.  Its counts are those of a scalar loop over every pair of
 every neighbourhood, integer for integer.
 
-Both kernels accumulate integer histogram counts / fixed-order float sums,
-so results do not depend on batch size.
+The three kernels accumulate integer counts, marks or fixed-order float
+sums, so their results do not depend on batch size.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def _bin_codes(i_arr, j_arr, xyz, normals):
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = xyz.take(j_arr, axis=0) - xyz.take(i_arr, axis=0)
         dx, dy, dz = diff[:, 0], diff[:, 1], diff[:, 2]
-        d2 = dx * dx + dy * dy + dz * dz
-        d = np.sqrt(d2)
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
         ux, uy, uz = dx / d, dy / d, dz / d
         ni = normals.take(i_arr, axis=0)
         nj = normals.take(j_arr, axis=0)
@@ -135,7 +134,10 @@ def _bin_codes(i_arr, j_arr, xyz, normals):
         phi = sx * usx + sy * usy + sz * usz
         theta = np.arctan2(wx * tx + wy * ty + wz * tz, sx * tx + sy * ty + sz * tz)
         codes = _pack_bins(alpha, phi, theta).astype(np.uint16)
-    codes[~((d2 > 0.0) & (c2 >= DEGENERATE_CROSS_SQ))] = _SKIP
+    # coincident points skip too: at d == 0, u holds a NaN (0 / 0) or three
+    # infinities, so c = s x u holds a NaN (0 * inf, or inf - inf: the signs
+    # of the two products cannot differ in all three components)
+    codes[~(c2 >= DEGENERATE_CROSS_SQ)] = _SKIP
     return codes
 
 

@@ -105,7 +105,7 @@ def cmd_evaluate(config: PipelineConfig, model_path, manifest_path,
     return EXIT_OK
 
 
-def _read_grid(path):
+def _read_grid(path, train: TrainConfig):
     """Grid CSV: header kernel,gamma,c[,feature_set]; bad rows are skipped."""
     grid = []
     reader = csv.DictReader(io.StringIO(read_text(path, ConfigError)))
@@ -119,11 +119,10 @@ def _read_grid(path):
             raw_gamma = (row["gamma"] or "").strip()
             gamma = None if kind == "linear" or raw_gamma in ("", "none") \
                 else float(raw_gamma)
-            config = TrainConfig(
-                kernel=KernelSpec(kind, gamma),
-                c=float(row["c"]),
-                feature_set=(row.get("feature_set") or "full").strip(),
-            )
+            feature_set = (row.get("feature_set") or "").strip()
+            config = replace(train, kernel=KernelSpec(kind, gamma),
+                             c=float(row["c"]),
+                             feature_set=feature_set or train.feature_set)
         except (KeyError, TypeError, ValueError) as exc:
             log.warning("grid line %d skipped: %s", lineno, exc)
             continue
@@ -133,11 +132,11 @@ def _read_grid(path):
     return grid
 
 
-def cmd_sweep(config: PipelineConfig, manifest_path, grid_path, report_path,
-              seed=None) -> int:
+def cmd_sweep(config: PipelineConfig, manifest_path, grid_path,
+              report_path) -> int:
     manifest = read_manifest(manifest_path)
-    grid = _read_grid(grid_path)
-    split = SplitSpec(train_fraction=0.5, seed=0 if seed is None else seed)
+    grid = _read_grid(grid_path, config.train)
+    split = SplitSpec(train_fraction=0.5, seed=config.train.seed)
     train_part, val_part = split_dataset(manifest, split)
     results = sweep(train_part, grid, val_part, config)
     with replaced(report_path) as fh:
@@ -175,8 +174,6 @@ def _common_flags() -> argparse.ArgumentParser:
                           "help": "prediction worker threads (default 1)"}),
         (("--seed",), {"type": int, "metavar": "N",
                        "help": "override the seed in config/spec files"}),
-        (("--verbose",), {"action": "store_true",
-                          "help": "log per-stage progress"}),
     ):
         common.add_argument(*args, default=argparse.SUPPRESS, **kwargs)
     return common
@@ -190,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Point-level sweet pepper peduncle detection: synthetic "
                     "scenes, SVM training, parallel prediction, PR/AUC "
                     "evaluation and hyperparameter sweeps.")
-    parser.set_defaults(config=None, workers=1, seed=None, verbose=False)
+    parser.set_defaults(config=None, workers=1, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common],
@@ -227,11 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
 
     try:
         cfg = load_pipeline_config(args.config) if args.config \
@@ -251,10 +246,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             report_dir = args.report_dir or cfg.report_dir
             return cmd_evaluate(cfg, args.model, args.manifest, report_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.manifest, args.grid, args.report,
-                             seed=args.seed)
-        parser.error(f"unknown command {args.command!r}")
+        # the required subparsers admit no other command
+        return cmd_sweep(cfg, args.manifest, args.grid, args.report)
     except (TrainingError, EvaluationError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
@@ -267,7 +260,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

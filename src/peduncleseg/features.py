@@ -130,9 +130,8 @@ def _scorable(cloud, normals, index, radius_ri):
         cloud.xyz, normals.normals, ok,
         *index.radius_neighbors_csr(radius_ri))
     rest = np.flatnonzero(ok & ~marked)
-    if rest.size:
-        _hist, pairs = _pfh_rows(cloud, normals, index, radius_ri, rest)
-        marked[rest] = pairs > 0
+    _hist, pairs = _pfh_rows(cloud, normals, index, radius_ri, rest)
+    marked[rest] = pairs > 0
     return ok & marked
 
 

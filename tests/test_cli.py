@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from peduncleseg import (CloudFormatError, ConfigError, KernelSpec,
-                         NormalParams, OutlierParams, PipelineConfig,
-                         TrainConfig, VoxelParams, cli, load_pipeline_config,
-                         pipeline, read_cloud, read_manifest, select_features)
+from peduncleseg import (CloudFormatError, ConfigError, EvaluationError,
+                         KernelSpec, NormalParams, OutlierParams,
+                         PipelineConfig, TrainConfig, VoxelParams, cli,
+                         evaluation, load_pipeline_config, pipeline,
+                         read_cloud, read_manifest, select_features, sweep,
+                         write_cloud)
 
 from clouds import record_calls
 
@@ -58,6 +60,24 @@ def workdir(tmp_path_factory):
             "model": str(model)}
 
 
+def unlabelled_manifest(workdir, tmp_path):
+    """Manifest of two copies of a scene with every label removed."""
+    cloud = read_cloud(workdir["data"] / "scene-000.cloud")
+    unlabelled = cloud.with_labels(np.full(len(cloud), -1, dtype=np.int8))
+    write_cloud(unlabelled, tmp_path / "a.cloud")
+    write_cloud(unlabelled, tmp_path / "b.cloud")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("a.cloud,a,1,red\nb.cloud,b,2,red\n")
+    return manifest
+
+
+def model_file(workdir, tmp_path, edit):
+    """Path of a copy of the trained model whose text ``edit`` rewrote."""
+    path = tmp_path / "edited.json"
+    path.write_text(edit((workdir["base"] / "model.json").read_text()))
+    return path
+
+
 def bogus_feature_set_model(workdir, tmp_path, feature_set="bogus"):
     """Copy of the trained 36-column model whose meta names another feature
     set: an unknown one by default."""
@@ -86,6 +106,14 @@ class TestHelpAndUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--verbose", "train", "m.csv"],
+                                      ["train", "m.csv", "--verbose"]])
+    def test_verbose_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--verbose" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path, workdir):
         bad = tmp_path / "bad.ini"
@@ -286,6 +314,16 @@ class TestTrain:
         assert rc == 4
         assert "single class" in capsys.readouterr().err
 
+    def test_no_usable_rows_exit_4(self, tmp_path, workdir, capsys):
+        manifest = unlabelled_manifest(workdir, tmp_path)
+        model = tmp_path / "model.json"
+        rc = cli.main(["--config", workdir["cfg"], "train", str(manifest),
+                       str(model)])
+        assert rc == 4
+        assert "no labelled rows with valid descriptors" in \
+            capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("train, status", [
         ("max_passes = 1\ntolerance = 1e-12",
          "SMO not converged (stopped at max_passes)"),
@@ -360,6 +398,30 @@ class TestPredict:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "'support_vectors'" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: f"[{t}]", "must hold a JSON object"),
+        (lambda t: t.replace('"meta": {', '"meta": [{', 1)[:-2] + "]}\n",
+         "'meta' has the wrong type"),
+        (lambda t: t.replace('"kernel": "rbf"', '"kernel": 5'),
+         "'kernel' has the wrong type"),
+        (lambda t: t.replace('"mean": [', '"mean": [0.0, ', 1),
+         "scaling statistics do not match the vectors"),
+        (lambda t: t.replace('"meta": {', '"meta": {"x": NaN, ', 1),
+         "'meta' holds a non-finite number"),
+        (lambda t: t.replace('"meta": {', '"meta": {"x": [1e400], ', 1),
+         "'meta' holds a non-finite number"),
+    ])
+    def test_malformed_model_exit_4(self, workdir, tmp_path, capsys, edit,
+                                    message):
+        model = model_file(workdir, tmp_path, edit)
+        out = tmp_path / "out.cloud"
+        rc = cli.main(["--config", workdir["cfg"], "predict", str(model),
+                       str(workdir["data"] / "scene-000.cloud"), str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
 
     def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
                                                  capsys):
@@ -462,6 +524,16 @@ class TestEvaluate:
         assert "'hsv' of 3 columns" in err and "vectors have 36" in err
         assert not reports.exists()
         assert featurised == []
+
+    def test_non_finite_meta_exit_4(self, workdir, tmp_path, capsys):
+        model = model_file(workdir, tmp_path, lambda t: t.replace(
+            '"meta": {', '"meta": {"x": {"y": -Infinity}, ', 1))
+        reports = tmp_path / "reports"
+        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(model),
+                       workdir["manifest"], str(reports)])
+        assert rc == 4
+        assert "'meta' holds a non-finite number" in capsys.readouterr().err
+        assert not reports.exists()
 
     def test_no_labelled_points_exit_4(self, workdir, tmp_path, capsys):
         from peduncleseg import write_cloud
@@ -583,3 +655,68 @@ class TestSweep:
         rows = report.read_text().splitlines()
         assert len(rows) == 2 and rows[1].split(",")[4] == ""
         assert "failed" in capsys.readouterr().err
+
+    def test_no_usable_grid_rows_exit_2(self, workdir, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("kernel,gamma,c\npoly,1,10\nrbf,,10\nlinear,,-1\n")
+        with pytest.raises(ConfigError, match="has no usable rows"):
+            cli._read_grid(grid, TrainConfig())
+        report = tmp_path / "sweep.csv"
+        rc = cli.main(["--config", workdir["cfg"], "sweep",
+                       workdir["manifest"], str(grid), str(report)])
+        assert rc == 2
+        assert "has no usable rows" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_unlabelled_validation_exit_4(self, workdir, tmp_path, capsys):
+        manifest = unlabelled_manifest(workdir, tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("kernel,gamma,c\nrbf,0.05,10\n")
+        message = "validation manifest has no labelled points"
+        entries = read_manifest(manifest)
+        with pytest.raises(EvaluationError, match=message):
+            sweep(entries, [TrainConfig()], entries,
+                  load_pipeline_config(workdir["cfg"]))
+        report = tmp_path / "sweep.csv"
+        rc = cli.main(["--config", workdir["cfg"], "sweep", str(manifest),
+                       str(grid), str(report)])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_grid_rows_without_train_keys_keep_the_defaults(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("kernel,gamma,c,feature_set\n"
+                        "rbf,0.05,10,\nlinear,,1,pfh\n")
+        assert cli._read_grid(grid, PipelineConfig().train) == [
+            TrainConfig(kernel=KernelSpec("rbf", 0.05), c=10.0),
+            TrainConfig(kernel=KernelSpec("linear", None), c=1.0,
+                        feature_set="pfh")]
+
+    @pytest.mark.parametrize("seed_flag, seed", [([], 5), (["--seed", "11"], 11)])
+    def test_train_section_reaches_every_grid_row(self, workdir, tmp_path,
+                                                  monkeypatch, seed_flag,
+                                                  seed):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(CONFIG_INI.replace(
+            "max_passes = 20", "max_passes = 7\ntolerance = 0.01\nseed = 5\n"
+            "feature_set = hsv"))
+        grid = tmp_path / "grid.csv"
+        grid.write_text("kernel,gamma,c,feature_set\n"
+                        "rbf,0.05,10,\nlinear,,1,pfh\n")
+        trained = record_calls(monkeypatch, evaluation, "train_svm")
+        splits = record_calls(monkeypatch, cli, "split_dataset")
+        report = tmp_path / "sweep.csv"
+        rc = cli.main(["--config", str(cfg), "sweep", workdir["manifest"],
+                       str(grid), str(report)] + seed_flag)
+        assert rc == 0
+        assert [split.seed for _manifest, split in splits] == [seed]
+        configs = [config for _fm, config in trained]
+        assert [(c.kernel, c.c, c.feature_set) for c in configs] == [
+            (KernelSpec("rbf", 0.05), 10.0, "hsv"),
+            (KernelSpec("linear", None), 1.0, "pfh")]
+        assert all((c.max_passes, c.tolerance, c.seed) == (7, 0.01, seed)
+                   for c in configs)
+        assert sorted(row.split(",")[3]
+                      for row in report.read_text().splitlines()[1:]) \
+            == ["hsv", "pfh"]

@@ -226,6 +226,11 @@ class TestPointCloud:
             PointCloud(np.full((1, 3), np.nan), np.zeros((1, 3), dtype=np.uint8),
                        np.zeros(1, dtype=np.int8))
 
+    def test_labels_length_must_match(self):
+        with pytest.raises(ValueError, match="labels length must match"):
+            PointCloud(np.zeros((3, 3)), np.zeros((3, 3), dtype=np.uint8),
+                       np.zeros(2, dtype=np.int8))
+
     def test_select_keeps_alignment(self, rng):
         cloud = random_cloud(rng, n=10)
         sub = cloud.select(np.array([7, 1, 3]))

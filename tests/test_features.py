@@ -302,6 +302,15 @@ class TestExtractFeatures:
         assert np.array_equal(fm.labels, cloud.labels)
         assert np.array_equal(fm.values[:, :3], rgb_to_hsv(cloud.rgb))
 
+    @pytest.mark.parametrize("radius", [0.0, -0.01])
+    def test_radius_must_be_positive(self, rng, radius):
+        cloud, index, normals = self.build(rng, n=30)
+        for feature_set in FEATURE_SLICES:   # hsv takes the _scorable path
+            with pytest.raises(ValueError, match="radius_ri must be > 0"):
+                extract_features(cloud, normals, index, radius, feature_set)
+        with pytest.raises(ValueError, match="radius_ri must be > 0"):
+            compute_pfh(0, cloud, normals, index, radius)
+
     def test_rows_match_single_point_op(self, rng):
         cloud, index, normals = self.build(rng, n=60)
         fm = extract_features(cloud, normals, index, 0.02)

@@ -114,6 +114,13 @@ class TestSpatialIndex:
 
 
 class TestEstimateNormals:
+    def test_empty_cloud_rejected(self, rng):
+        # no index holds an empty cloud, so any index goes with it
+        index = build_index(random_cloud(rng, n=5))
+        with pytest.raises(ValueError, match="empty cloud"):
+            estimate_normals(cloud_from(np.empty((0, 3))), index,
+                             NormalParams())
+
     def test_plane_normals_exact(self, rng):
         xy = rng.uniform(-0.05, 0.05, size=(400, 2))
         xyz = np.column_stack([xy, np.zeros(400)])

@@ -408,6 +408,13 @@ class TestPfhNumpy:
         assert hist.pair_count > 0
         assert 0 < sum(chunks) <= k[q] * (k[q] - 1) // 2
 
+    def test_no_queries_give_no_rows(self, rng):
+        xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=60)
+        counts = _kernels.pfh_pair_histograms(
+            xyz, normals, valid, nbr_idx, nbr_off, radius,
+            np.empty(0, dtype=np.int64))
+        assert counts.shape == (0, 3 * NBINS) and counts.dtype == np.int64
+
     def test_missing_pair_raises(self, rng):
         xyz, normals, valid, nbr_idx, nbr_off, radius = scene(rng, n=60)
         # descending rows name every pair with its larger member first
@@ -493,6 +500,10 @@ def bin_codes_frozen(i_arr, j_arr, xyz, normals):
     return codes
 
 
+# the eight sign patterns of a 3-vector
+SIGNS = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+
+
 def all_pairs(n):
     """Every ordered pair (i, j) of n points, i == j included."""
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -527,6 +538,40 @@ class TestBinCodes:
         i_arr, j_arr = all_pairs(20)
         codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
         assert np.all(codes[i_arr % 10 == j_arr % 10] == _kernels._SKIP)
+
+    @staticmethod
+    def sign_normals():
+        """Unit normals of every sign pattern, with and without zero
+        components, and the zero normal of an invalid point."""
+        normals = np.concatenate([SIGNS * [0.3, 0.5, 0.81], SIGNS * [0.6, 0.8, 0.0],
+                                  np.eye(3), -np.eye(3), np.zeros((1, 3))])
+        norm = np.linalg.norm(normals, axis=1, keepdims=True)
+        return normals / np.where(norm > 0.0, norm, 1.0)
+
+    def test_coincident_pair(self):
+        # one position for every normal: each pair is coincident, d == 0
+        normals = self.sign_normals()
+        xyz = np.tile([0.01, -0.02, 0.03], (len(normals), 1))
+        i_arr, j_arr = all_pairs(len(xyz))
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        assert np.all(codes == _kernels._SKIP)
+
+    def test_pair_offset_below_the_square_root_of_underflow(self):
+        # offsets of about 1e-170 square to below the smallest double, so
+        # d2 == 0 although the offset is not: u holds infinities, or a NaN
+        # where a component is zero
+        normals = self.sign_normals()
+        offsets = np.concatenate([SIGNS * [1.0, 2.0, 3.0], [[1.0, 0.0, 2.0]]])
+        xyz = np.concatenate([np.zeros((1, 3)), offsets * 1e-170])
+        xyz = np.repeat(xyz, len(normals), axis=0)
+        normals = np.tile(normals, (len(offsets) + 1, 1))
+        i_arr, j_arr = all_pairs(len(xyz))
+        diff = xyz[j_arr] - xyz[i_arr]
+        moved = (diff != 0.0).any(axis=1)
+        assert np.count_nonzero(moved) > 10000
+        assert np.all(np.einsum("ij,ij->i", diff, diff) == 0.0)
+        codes = self.assert_codes_equal(i_arr, j_arr, xyz, normals)
+        assert np.all(codes == _kernels._SKIP)
 
     def test_parallel_normals(self, rng):
         # normals along the join line, and equal normals off it

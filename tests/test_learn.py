@@ -1113,6 +1113,11 @@ class TestTrainingValidation:
         with pytest.raises(TrainingError):
             train_svm(fm, TrainConfig(feature_set="hsv"))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(TrainingError, match="non-empty 2-d"):
+            train_svm(matrix(np.empty((0, 3)), []),
+                      TrainConfig(feature_set="hsv"))
+
     def test_constant_columns_handled(self, rng):
         values = rng.normal(size=(12, 3))
         values[:, 1] = 7.5   # constant dim must scale to 0, not NaN
@@ -1144,6 +1149,8 @@ class TestTrainingValidation:
             TrainConfig(c=0.0)
         with pytest.raises(ValueError):
             TrainConfig(feature_set="pca")
+        with pytest.raises(ValueError, match="max_passes must be >= 1"):
+            TrainConfig(max_passes=0)
 
 
 class TestDeterminism:
@@ -1314,6 +1321,10 @@ class TestModelFile:
         (lambda m: setattr(m, "c", 0.0), "'c' must be > 0"),
         (lambda m: m.meta.update(feature_set="pfh"),
          "feature set 'pfh' of 33 columns, but its vectors have 3"),
+        (lambda m: m.meta.update(dual_objective=math.nan),
+         "'meta' holds a non-finite number"),
+        (lambda m: m.meta.update(extra=[1.0, {"x": -math.inf}]),
+         "'meta' holds a non-finite number"),
     ])
     def test_save_refuses_what_load_refuses(self, rng, tmp_path, spoil,
                                             message):
@@ -1331,6 +1342,56 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             save_model(model, tmp_path / "new.json")
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: [d], "must hold a JSON object"),
+        (lambda d: {**d, "meta": [d["meta"]]}, "'meta' has the wrong type"),
+        (lambda d: {**d, "kernel": 5}, "'kernel' has the wrong type"),
+        (lambda d: {**d, "scaling": []}, "'scaling' has the wrong type"),
+        (lambda d: {**d, "scaling": {"mean": d["scaling"]["mean"][:-1],
+                                     "std": d["scaling"]["std"][:-1]}},
+         "scaling statistics do not match the vectors"),
+        (lambda d: {**d, "scaling": {"mean": d["scaling"]["mean"],
+                                     "std": d["scaling"]["std"][:-1]}},
+         "scaling statistics do not match the vectors"),
+    ])
+    def test_malformed_document_rejected(self, rng, tmp_path, mutate, message):
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       '[1, {"x": NaN}]'])
+    def test_non_finite_meta_rejected(self, rng, tmp_path, value):
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["extra"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("'meta' holds a non-finite number")):
+            load_model(path)
+
+    def test_model_without_support_vectors_scores_its_bias(self, rng, tmp_path):
+        x = rng.normal(size=(10, 3))
+        model = train_svm(matrix(x, [0, 1] * 5), TrainConfig(feature_set="hsv"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc.update(support_vectors=[], dual_coefs=[], bias=-0.375)
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert back.support_vectors.shape == (0, 3) and back.support_count == 0
+        rows = rng.normal(size=(40, 3))
+        assert np.all(decision_scores(back, rows) == -0.375)
+        labels, scores, _ = predict_parallel(back, rows, workers=3)
+        assert np.all(scores == -0.375) and not labels.any()
 
     def test_failed_dump_keeps_the_old_model(self, rng, tmp_path, monkeypatch):
         x = rng.normal(size=(10, 3))

@@ -146,3 +146,7 @@ class TestVoxelDownsample:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             VoxelParams(leaf_size=0.0)
+
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(ValueError, match="empty cloud"):
+            voxel_downsample(make_cloud(np.empty((0, 3))), VoxelParams())
