@@ -35,33 +35,54 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TRAINING = 4
 
+# each command's parser takes the flags that command reads, after its name
+_FLAGS = {
+    "--config": {"metavar": "PATH",
+                 "help": "pipeline config INI (defaults built in)"},
+    "--seed": {"type": int, "metavar": "N",
+               "help": "override the seed of the scene spec or of the "
+                       "config's [train] section"},
+    "--workers": {"type": int, "default": 1, "metavar": "N",
+                  "help": "prediction worker threads (default 1)"},
+}
 
-def cmd_synth(config: PipelineConfig, scene_spec_path, out_dir,
-              seed=None) -> int:
-    request = load_scene_request(scene_spec_path)
-    base = request.base if seed is None else replace(request.base, seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
+
+def _config(path, seed=None) -> PipelineConfig:
+    """The pipeline config at ``path`` (the built-in defaults without one),
+    with ``seed`` in place of its [train] seed when given."""
+    config = load_pipeline_config(path) if path else PipelineConfig()
+    if seed is None:
+        return config
+    return replace(config, train=replace(config.train, seed=seed))
+
+
+def cmd_synth(args) -> int:
+    request = load_scene_request(args.scene_spec)
+    base = request.base if args.seed is None \
+        else replace(request.base, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     entries = []
     for i in range(request.scenes):
         spec = scene_for_colour(base, request.colour, i)
         cloud = generate_scene(spec)
         name = f"{request.prefix}-{i:03d}.cloud"
-        write_cloud(cloud, os.path.join(out_dir, name))
+        write_cloud(cloud, os.path.join(args.out_dir, name))
         entries.append(ManifestEntry(path=name, scene_id=f"{request.prefix}-{i:03d}",
                                      trip=1 + i % 2, colour=request.colour))
         log.info("wrote %s (%d points)", name, len(cloud))
-    write_manifest(DatasetManifest(entries, base_dir=out_dir),
-                   os.path.join(out_dir, "manifest.csv"))
-    print(f"wrote {request.scenes} scenes + manifest to {out_dir}")
+    write_manifest(DatasetManifest(entries, base_dir=args.out_dir),
+                   os.path.join(args.out_dir, "manifest.csv"))
+    print(f"wrote {request.scenes} scenes + manifest to {args.out_dir}")
     return EXIT_OK
 
 
-def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
-    manifest = read_manifest(manifest_path)
+def cmd_train(args) -> int:
+    config = _config(args.config, args.seed)
+    manifest = read_manifest(args.manifest)
     t0 = time.perf_counter()
     features = assemble_training_matrix(manifest, config)
     model = train_svm(features, config.train)
-    save_model(model, model_out)
+    save_model(model, args.model_out)
     elapsed = time.perf_counter() - t0
     status = "converged" if model.meta["converged"] \
         else "not converged (stopped at max_passes)"
@@ -69,36 +90,36 @@ def cmd_train(config: PipelineConfig, manifest_path, model_out) -> int:
           f"({model.meta['distinct_rows']} distinct) in {elapsed:.1f}s; "
           f"SMO {status} after {model.meta['iterations']} iterations "
           f"({model.meta['kernel_rows']} kernel rows computed); "
-          f"{model.support_count} support vectors -> {model_out}")
+          f"{model.support_count} support vectors -> {args.model_out}")
     return EXIT_OK
 
 
-def cmd_predict(config: PipelineConfig, model_path, cloud_path, out_path,
-                workers: int = 1) -> int:
-    model = load_model(model_path)
-    cloud = read_cloud(cloud_path)
+def cmd_predict(args) -> int:
+    config = _config(args.config)
+    model = load_model(args.model)
+    cloud = read_cloud(args.cloud)
     processed, features = scene_features(
         cloud, config, model.meta.get("feature_set", "full"))
-    labels, scores, elapsed = predict_parallel(model, features, workers)
-    write_cloud(processed.with_labels(labels), out_path)
+    labels, scores, elapsed = predict_parallel(model, features, args.workers)
+    write_cloud(processed.with_labels(labels), args.out)
     write_scores_csv(scores, labels,
-                     os.path.splitext(out_path)[0] + "_scores.csv")
+                     os.path.splitext(args.out)[0] + "_scores.csv")
     rate = len(labels) / elapsed if elapsed > 0 else float("inf")
     print(f"{len(labels)} points scored in {elapsed:.3f}s "
-          f"({rate:.0f} points/s, workers={workers}) -> {out_path}")
+          f"({rate:.0f} points/s, workers={args.workers}) -> {args.out}")
     return EXIT_OK
 
 
-def cmd_evaluate(config: PipelineConfig, model_path, manifest_path,
-                 report_dir) -> int:
-    model = load_model(model_path)
-    manifest = read_manifest(manifest_path)
+def cmd_evaluate(args) -> int:
+    config = _config(args.config)
+    model = load_model(args.model)
+    manifest = read_manifest(args.manifest)
     reports = evaluate(model, manifest, config)
-    os.makedirs(report_dir, exist_ok=True)
-    write_report_json(reports, os.path.join(report_dir, "report.json"))
+    os.makedirs(args.report_dir, exist_ok=True)
+    write_report_json(reports, os.path.join(args.report_dir, "report.json"))
     for report in reports:
-        write_curve_csv(report.curve,
-                        os.path.join(report_dir, f"pr_{report.slice_tag}.csv"))
+        write_curve_csv(report.curve, os.path.join(
+            args.report_dir, f"pr_{report.slice_tag}.csv"))
     for report in reports:
         print(f"slice {report.slice_tag}: AUC {report.auc:.4f} "
               f"({report.positives} pos / {report.negatives} neg)")
@@ -132,14 +153,14 @@ def _read_grid(path, train: TrainConfig):
     return grid
 
 
-def cmd_sweep(config: PipelineConfig, manifest_path, grid_path,
-              report_path) -> int:
-    manifest = read_manifest(manifest_path)
-    grid = _read_grid(grid_path, config.train)
+def cmd_sweep(args) -> int:
+    config = _config(args.config, args.seed)
+    manifest = read_manifest(args.manifest)
+    grid = _read_grid(args.grid, config.train)
     split = SplitSpec(train_fraction=0.5, seed=config.train.seed)
     train_part, val_part = split_dataset(manifest, split)
     results = sweep(train_part, grid, val_part, config)
-    with replaced(report_path) as fh:
+    with replaced(args.report) as fh:
         fh.write("kernel,gamma,c,feature_set,auc,error\n")
         for r in results:
             k = r.config.kernel
@@ -155,68 +176,53 @@ def cmd_sweep(config: PipelineConfig, manifest_path, grid_path,
     if not ok:
         print("every sweep configuration failed", file=sys.stderr)
         return EXIT_TRAINING
-    print(f"wrote {len(results)} sweep rows -> {report_path}")
+    print(f"wrote {len(results)} sweep rows -> {args.report}")
     return EXIT_OK
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """Flags accepted before or after the subcommand.
-
-    SUPPRESS keeps a subparser from re-applying defaults over values the
-    top-level parser already read, so the two parsers need separate action
-    objects (set_defaults on one must not rewrite the other's defaults).
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    for args, kwargs in (
-        (("--config",), {"metavar": "PATH",
-                         "help": "pipeline config INI (defaults built in)"}),
-        (("--workers",), {"type": int, "metavar": "N",
-                          "help": "prediction worker threads (default 1)"}),
-        (("--seed",), {"type": int, "metavar": "N",
-                       "help": "override the seed in config/spec files"}),
-    ):
-        common.add_argument(*args, default=argparse.SUPPRESS, **kwargs)
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-
     parser = argparse.ArgumentParser(
-        prog="peduncleseg", parents=[_common_flags()],
+        prog="peduncleseg",
         description="Point-level sweet pepper peduncle detection: synthetic "
                     "scenes, SVM training, parallel prediction, PR/AUC "
                     "evaluation and hyperparameter sweeps.")
-    parser.set_defaults(config=None, workers=1, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate labelled synthetic scenes + manifest")
+    def command(name, run, *flags, help):
+        """Subparser ``name`` for ``run``, with only the flags that it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p = command("synth", cmd_synth, "--seed",
+                help="generate labelled synthetic scenes + manifest")
     p.add_argument("scene_spec", help="scene spec INI file")
     p.add_argument("out_dir", help="directory for cloud files and manifest")
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train an SVM from a labelled manifest")
+    p = command("train", cmd_train, "--config", "--seed",
+                help="train an SVM from a labelled manifest")
     p.add_argument("manifest", help="dataset manifest CSV")
-    p.add_argument("model_out", nargs="?", default=None,
-                   help="model JSON path (default: config paths.model)")
+    p.add_argument("model_out", nargs="?", default="model.json",
+                   help="model JSON path (default: model.json)")
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="label one cloud with a trained model")
+    p = command("predict", cmd_predict, "--config", "--workers",
+                help="label one cloud with a trained model")
     p.add_argument("model", help="model JSON path")
     p.add_argument("cloud", help="input cloud file")
     p.add_argument("out", help="output labelled cloud (scores CSV lands "
                                "next to it)")
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="PR/AUC report over a labelled test manifest")
+    p = command("evaluate", cmd_evaluate, "--config",
+                help="PR/AUC report over a labelled test manifest")
     p.add_argument("model", help="model JSON path")
     p.add_argument("manifest", help="test manifest CSV")
-    p.add_argument("report_dir", nargs="?", default=None,
-                   help="report directory (default: config paths.reports)")
+    p.add_argument("report_dir", nargs="?", default="reports",
+                   help="report directory (default: reports)")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="grid-search kernel parameters with a 50-50 split")
+    p = command("sweep", cmd_sweep, "--config", "--seed",
+                help="grid-search kernel parameters with a 50-50 split")
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("grid", help="grid CSV: kernel,gamma,c[,feature_set]")
     p.add_argument("report", help="ranked result CSV path")
@@ -227,27 +233,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-
     try:
-        cfg = load_pipeline_config(args.config) if args.config \
-            else PipelineConfig()
-        if args.seed is not None:
-            cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-
-        if args.command == "synth":
-            return cmd_synth(cfg, args.scene_spec, args.out_dir,
-                             seed=args.seed)
-        if args.command == "train":
-            out = args.model_out or cfg.model_path
-            return cmd_train(cfg, args.manifest, out)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.model, args.cloud, args.out,
-                               workers=args.workers)
-        if args.command == "evaluate":
-            report_dir = args.report_dir or cfg.report_dir
-            return cmd_evaluate(cfg, args.model, args.manifest, report_dir)
-        # the required subparsers admit no other command
-        return cmd_sweep(cfg, args.manifest, args.grid, args.report)
+        return args.run(args)
     except (TrainingError, EvaluationError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING

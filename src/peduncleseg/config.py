@@ -1,4 +1,4 @@
-"""Declarative pipeline configuration: one INI file drives every command."""
+"""Declarative pipeline configuration: the INI file that --config names."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ class PipelineConfig:
     radius_ri: float = 0.01
     train: TrainConfig = field(default_factory=TrainConfig)
     max_train_rows: int = 4000
-    model_path: str = "model.json"
-    report_dir: str = "reports"
 
     def __post_init__(self):
         if not 0 < self.radius_ri < np.inf:
@@ -51,15 +49,12 @@ _SCHEMA = {
     "train": {"kernel": str, "gamma": float, "c": float, "tolerance": float,
               "max_passes": int, "seed": int, "feature_set": str,
               "max_train_rows": int},
-    "paths": {"model": str, "reports": str},
 }
 # keys that set a field of PipelineConfig itself; the other keys of a
 # section set the same-named field of its part (outlier, voxel, normals,
 # train; kernel and gamma make the train part's KernelSpec)
 _TOP_FIELDS = {("features", "radius_ri"): "radius_ri",
-               ("train", "max_train_rows"): "max_train_rows",
-               ("paths", "model"): "model_path",
-               ("paths", "reports"): "report_dir"}
+               ("train", "max_train_rows"): "max_train_rows"}
 
 
 def load_pipeline_config(path) -> PipelineConfig:

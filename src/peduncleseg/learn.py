@@ -25,7 +25,6 @@ log = logging.getLogger(__name__)
 KERNEL_KINDS = ("linear", "rbf")
 FEATURE_SETS = tuple(FEATURE_SLICES)
 MODEL_SCHEMA_VERSION = 1
-_STANDARD_JSON = json.JSONEncoder(allow_nan=False)
 
 # dual coefficients at most this far from zero are pruned from the model
 SV_EPS = 1e-12
@@ -531,7 +530,7 @@ def _model_from_doc(doc) -> SvmModel:
     bias = float(_floats(doc, "bias", 0))
     meta = _require(doc, "meta", dict) if "meta" in doc else {}
     try:   # standard JSON holds no NaN or Infinity
-        _STANDARD_JSON.encode(meta)
+        json.dumps(meta, allow_nan=False)
     except ValueError:
         raise ModelFormatError(
             "model field 'meta' holds a non-finite number") from None

@@ -50,10 +50,9 @@ def workdir(tmp_path_factory):
     spec = base / "scenes.ini"
     spec.write_text(SCENE_INI)
     data = base / "data"
-    assert cli.main(["--config", str(cfg), "synth", str(spec),
-                     str(data)]) == 0
+    assert cli.main(["synth", str(spec), str(data)]) == 0
     model = base / "model.json"
-    assert cli.main(["--config", str(cfg), "train",
+    assert cli.main(["train", "--config", str(cfg),
                      str(data / "manifest.csv"), str(model)]) == 0
     return {"base": base, "cfg": str(cfg), "spec": str(spec),
             "data": data, "manifest": str(data / "manifest.csv"),
@@ -88,6 +87,22 @@ def bogus_feature_set_model(workdir, tmp_path, feature_set="bogus"):
     return path
 
 
+# the flags each command reads, and so takes, after its name
+COMMAND_FLAGS = {"synth": ["--seed"], "train": ["--config", "--seed"],
+                 "predict": ["--config", "--workers"],
+                 "evaluate": ["--config"], "sweep": ["--config", "--seed"]}
+
+
+def usage_error(argv, capsys):
+    """The one ``error:`` line of a command line that exits 2 in argparse."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    return next(line for line in err.splitlines() if "error:" in line)
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -97,10 +112,14 @@ class TestHelpAndUsage:
         ["evaluate", "--help"],
         ["sweep", "--help"],
     ])
-    def test_help_exits_zero(self, argv):
+    def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0
+        # the top-level parser takes no flag but -h
+        flags = COMMAND_FLAGS.get(argv[0], [])
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) \
+            == {"--help", *flags}
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -115,21 +134,47 @@ class TestHelpAndUsage:
         assert exc.value.code == 2
         assert "--verbose" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--config"), ("synth", "--workers"), ("train", "--workers"),
+        ("predict", "--seed"), ("evaluate", "--seed"),
+        ("evaluate", "--workers"), ("sweep", "--workers"),
+    ])
+    def test_flag_the_command_does_not_read_exit_2(self, command, flag,
+                                                    capsys):
+        # four positionals fill every command's, so only the flag is left
+        argv = [command, flag, "1", "a", "b", "c"]
+        assert flag not in COMMAND_FLAGS[command]
+        assert flag in usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "pipeline.ini", "train", "m.csv"],
+        ["--seed", "3", "synth", "scenes.ini", "data"],
+        ["--workers", "2", "predict", "m.json", "a.cloud", "out.cloud"],
+    ])
+    def test_flag_before_the_command_exit_2(self, argv, capsys):
+        usage_error(argv, capsys)
+
     def test_unknown_config_key_exit_2(self, tmp_path, workdir):
         bad = tmp_path / "bad.ini"
         bad.write_text("[train]\nmomentum = 0.9\n")
-        rc = cli.main(["--config", str(bad), "synth", workdir["spec"],
-                       str(tmp_path / "out")])
+        model = tmp_path / "model.json"
+        rc = cli.main(["train", "--config", str(bad), workdir["manifest"],
+                       str(model)])
         assert rc == 2
+        assert not model.exists()
 
     def test_removed_data_root_key_exit_2(self, tmp_path, workdir):
+        # [paths] went with its model and reports keys
         cfg = tmp_path / "old.ini"
         cfg.write_text("[paths]\ndata_root = data\n")
-        with pytest.raises(ConfigError, match="data_root"):
+        with pytest.raises(ConfigError,
+                           match=re.escape("unknown config section [paths]")):
             load_pipeline_config(cfg)
-        rc = cli.main(["--config", str(cfg), "synth", workdir["spec"],
-                       str(tmp_path / "out")])
+        model = tmp_path / "model.json"
+        rc = cli.main(["train", "--config", str(cfg), workdir["manifest"],
+                       str(model)])
         assert rc == 2
+        assert not model.exists()
 
 
 def assert_configs_equal(got, want):
@@ -138,9 +183,8 @@ def assert_configs_equal(got, want):
     assert got.normals.radius_rn == want.normals.radius_rn
     assert np.array_equal(got.normals.viewpoint, want.normals.viewpoint)
     assert got.train == want.train
-    assert (got.radius_ri, got.max_train_rows, got.model_path,
-            got.report_dir) == (want.radius_ri, want.max_train_rows,
-                                want.model_path, want.report_dir)
+    assert (got.radius_ri, got.max_train_rows) \
+        == (want.radius_ri, want.max_train_rows)
 
 
 class TestPipelineConfig:
@@ -171,9 +215,6 @@ max_passes = 4
 seed = 9
 feature_set = hsv
 max_train_rows = 300
-[paths]
-model = m.json
-reports = out
 """)
         want = PipelineConfig(
             outlier=OutlierParams(7, 2.5), voxel=VoxelParams(0.004),
@@ -181,7 +222,7 @@ reports = out
             radius_ri=0.02,
             train=TrainConfig(KernelSpec("rbf", 0.5), c=3.0, tolerance=0.01,
                               max_passes=4, seed=9, feature_set="hsv"),
-            max_train_rows=300, model_path="m.json", report_dir="out")
+            max_train_rows=300)
         assert_configs_equal(load_pipeline_config(path), want)
         # the file above sets every key of the schema
         from peduncleseg.config import _SCHEMA
@@ -210,6 +251,8 @@ reports = out
         ("k_neighbours = 8\n",
          "cannot parse config {path}: File contains no section headers."),
         ("[weather]\nsun = 1\n", "unknown config section [weather]"),
+        ("[paths]\nmodel = m.json\n", "unknown config section [paths]"),
+        ("[paths]\nreports = out\n", "unknown config section [paths]"),
         ("[train]\nmomentum = 0.9\n",
          "unknown key 'momentum' in section [train]"),
         ("[voxel]\nleaf_size = big\n",
@@ -251,8 +294,7 @@ class TestSynth:
 
     def test_same_seed_reproduces_bytes(self, workdir, tmp_path):
         rerun = tmp_path / "rerun"
-        assert cli.main(["--config", workdir["cfg"], "synth",
-                         workdir["spec"], str(rerun)]) == 0
+        assert cli.main(["synth", workdir["spec"], str(rerun)]) == 0
         for name in ("scene-000.cloud", "scene-003.cloud", "manifest.csv"):
             assert (rerun / name).read_bytes() \
                 == (workdir["data"] / name).read_bytes()
@@ -290,7 +332,7 @@ class TestTrain:
     def test_missing_cloud_exit_3(self, tmp_path, workdir, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("ghost.cloud,ghost,1,red\n")
-        rc = cli.main(["--config", workdir["cfg"], "train", str(manifest),
+        rc = cli.main(["train", "--config", workdir["cfg"], str(manifest),
                        str(tmp_path / "model.json")])
         assert rc == 3
         assert "ghost.cloud" in capsys.readouterr().err
@@ -298,7 +340,7 @@ class TestTrain:
     def test_empty_manifest_exit_3(self, tmp_path, workdir):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("# nothing here\n")
-        rc = cli.main(["--config", workdir["cfg"], "train", str(manifest),
+        rc = cli.main(["train", "--config", workdir["cfg"], str(manifest),
                        str(tmp_path / "model.json")])
         assert rc == 3
 
@@ -308,7 +350,7 @@ class TestTrain:
         write_cloud(cloud.with_labels(np.zeros(len(cloud), dtype=np.int8)),
                     tmp_path / "flat.cloud")
         (tmp_path / "manifest.csv").write_text("flat.cloud,flat,1,red\n")
-        rc = cli.main(["--config", workdir["cfg"], "train",
+        rc = cli.main(["train", "--config", workdir["cfg"],
                        str(tmp_path / "manifest.csv"),
                        str(tmp_path / "model.json")])
         assert rc == 4
@@ -317,12 +359,20 @@ class TestTrain:
     def test_no_usable_rows_exit_4(self, tmp_path, workdir, capsys):
         manifest = unlabelled_manifest(workdir, tmp_path)
         model = tmp_path / "model.json"
-        rc = cli.main(["--config", workdir["cfg"], "train", str(manifest),
+        rc = cli.main(["train", "--config", workdir["cfg"], str(manifest),
                        str(model)])
         assert rc == 4
         assert "no labelled rows with valid descriptors" in \
             capsys.readouterr().err
         assert not model.exists()
+
+    def test_seed_flag_reaches_the_train_config(self, workdir, tmp_path,
+                                                monkeypatch):
+        assembled = record_calls(monkeypatch, cli, "assemble_training_matrix")
+        rc = cli.main(["train", "--config", workdir["cfg"], "--seed", "7",
+                       workdir["manifest"], str(tmp_path / "model.json")])
+        assert rc == 0
+        assert [config.train.seed for _manifest, config in assembled] == [7]
 
     @pytest.mark.parametrize("train, status", [
         ("max_passes = 1\ntolerance = 1e-12",
@@ -335,7 +385,7 @@ class TestTrain:
         cfg.write_text(CONFIG_INI.replace("max_passes = 20", train))
         model = tmp_path / "model.json"
         capsys.readouterr()
-        rc = cli.main(["--config", str(cfg), "train", workdir["manifest"],
+        rc = cli.main(["train", "--config", str(cfg), workdir["manifest"],
                        str(model)])
         assert rc == 0
         meta = json.loads(model.read_text())["meta"]
@@ -350,7 +400,7 @@ class TestTrain:
 class TestPredict:
     def test_labels_scores_and_rate(self, workdir, tmp_path, capsys):
         out = tmp_path / "pred.cloud"
-        rc = cli.main(["--config", workdir["cfg"], "predict",
+        rc = cli.main(["predict", "--config", workdir["cfg"],
                        workdir["model"],
                        str(workdir["data"] / "scene-000.cloud"), str(out)])
         assert rc == 0
@@ -369,7 +419,7 @@ class TestPredict:
         outs = []
         for workers in (1, 4):
             out = tmp_path / f"pred-{workers}.cloud"
-            rc = cli.main(["--config", workdir["cfg"], "predict",
+            rc = cli.main(["predict", "--config", workdir["cfg"],
                            workdir["model"],
                            str(workdir["data"] / "scene-001.cloud"),
                            str(out), "--workers", str(workers)])
@@ -381,23 +431,11 @@ class TestPredict:
     def test_corrupt_model_exit_4(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1}\n')
-        rc = cli.main(["--config", workdir["cfg"], "predict", str(bad),
+        rc = cli.main(["predict", "--config", workdir["cfg"], str(bad),
                        str(workdir["data"] / "scene-000.cloud"),
                        str(tmp_path / "out.cloud")])
         assert rc == 4
         assert "model" in capsys.readouterr().err
-
-    def test_ragged_model_exit_4(self, workdir, tmp_path, capsys):
-        doc = json.loads((workdir["base"] / "model.json").read_text())
-        doc["support_vectors"][0].pop()
-        ragged = tmp_path / "ragged.json"
-        ragged.write_text(json.dumps(doc))
-        rc = cli.main(["--config", workdir["cfg"], "predict", str(ragged),
-                       str(workdir["data"] / "scene-000.cloud"),
-                       str(tmp_path / "out.cloud")])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "'support_vectors'" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: f"[{t}]", "must hold a JSON object"),
@@ -416,7 +454,7 @@ class TestPredict:
                                     message):
         model = model_file(workdir, tmp_path, edit)
         out = tmp_path / "out.cloud"
-        rc = cli.main(["--config", workdir["cfg"], "predict", str(model),
+        rc = cli.main(["predict", "--config", workdir["cfg"], str(model),
                        str(workdir["data"] / "scene-000.cloud"), str(out)])
         assert rc == 4
         err = capsys.readouterr().err
@@ -426,7 +464,7 @@ class TestPredict:
     def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
                                                  capsys):
         bogus = bogus_feature_set_model(workdir, tmp_path)
-        rc = cli.main(["--config", workdir["cfg"], "predict", str(bogus),
+        rc = cli.main(["predict", "--config", workdir["cfg"], str(bogus),
                        str(workdir["data"] / "scene-000.cloud"),
                        str(tmp_path / "out.cloud")])
         assert rc == 4
@@ -437,7 +475,7 @@ class TestPredict:
         featurised = record_calls(monkeypatch, cli, "scene_features")
         hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
         out = tmp_path / "out.cloud"
-        rc = cli.main(["--config", workdir["cfg"], "predict", str(hsv),
+        rc = cli.main(["predict", "--config", workdir["cfg"], str(hsv),
                        str(workdir["data"] / "scene-000.cloud"), str(out)])
         assert rc == 4
         err = capsys.readouterr().err
@@ -445,8 +483,27 @@ class TestPredict:
         assert not out.exists()
         assert featurised == []
 
+    def test_cloud_no_larger_than_k_neighbours_exit_2(self, workdir,
+                                                       tmp_path, capsys):
+        # the config and the cloud disagree, and the fix is in the config
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(CONFIG_INI.replace("k_neighbours = 8",
+                                          "k_neighbours = 5"))
+        rows = (workdir["data"] / "scene-000.cloud").read_text().split("\n")
+        cloud = tmp_path / "five.cloud"
+        cloud.write_text("\n".join([rows[0], "POINTS 5", *rows[2:7]]) + "\n")
+        out = tmp_path / "out.cloud"
+        rc = cli.main(["predict", "--config", str(cfg), workdir["model"],
+                       str(cloud), str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "k=5 must be smaller than the point count 5" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["five.cloud", "pipeline.ini"]
+
     def test_missing_cloud_exit_3(self, workdir, tmp_path):
-        rc = cli.main(["--config", workdir["cfg"], "predict",
+        rc = cli.main(["predict", "--config", workdir["cfg"],
                        workdir["model"], str(tmp_path / "nope.cloud"),
                        str(tmp_path / "out.cloud")])
         assert rc == 3
@@ -469,7 +526,7 @@ class TestFeatureSetRuns:
                      ["predict", str(model),
                       str(workdir["data"] / "scene-000.cloud"),
                       str(out / "pred.cloud")]):
-            assert cli.main(["--config", str(cfg)] + argv) == 0
+            assert cli.main(argv + ["--config", str(cfg)]) == 0
         return {p.relative_to(out).as_posix(): p.read_bytes()
                 for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -490,7 +547,7 @@ class TestFeatureSetRuns:
 class TestEvaluate:
     def test_report_files_and_auc(self, workdir, tmp_path, capsys):
         report_dir = tmp_path / "reports"
-        rc = cli.main(["--config", workdir["cfg"], "evaluate",
+        rc = cli.main(["evaluate", "--config", workdir["cfg"],
                        workdir["model"], workdir["manifest"],
                        str(report_dir)])
         assert rc == 0
@@ -507,7 +564,7 @@ class TestEvaluate:
     def test_unknown_feature_set_in_model_exit_4(self, workdir, tmp_path,
                                                  capsys):
         bogus = bogus_feature_set_model(workdir, tmp_path)
-        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(bogus),
+        rc = cli.main(["evaluate", "--config", workdir["cfg"], str(bogus),
                        workdir["manifest"], str(tmp_path / "reports")])
         assert rc == 4
         assert "bogus" in capsys.readouterr().err
@@ -517,7 +574,7 @@ class TestEvaluate:
         featurised = record_calls(monkeypatch, pipeline, "scene_features")
         hsv = bogus_feature_set_model(workdir, tmp_path, "hsv")
         reports = tmp_path / "reports"
-        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(hsv),
+        rc = cli.main(["evaluate", "--config", workdir["cfg"], str(hsv),
                        workdir["manifest"], str(reports)])
         assert rc == 4
         err = capsys.readouterr().err
@@ -529,7 +586,7 @@ class TestEvaluate:
         model = model_file(workdir, tmp_path, lambda t: t.replace(
             '"meta": {', '"meta": {"x": {"y": -Infinity}, ', 1))
         reports = tmp_path / "reports"
-        rc = cli.main(["--config", workdir["cfg"], "evaluate", str(model),
+        rc = cli.main(["evaluate", "--config", workdir["cfg"], str(model),
                        workdir["manifest"], str(reports)])
         assert rc == 4
         assert "'meta' holds a non-finite number" in capsys.readouterr().err
@@ -541,7 +598,7 @@ class TestEvaluate:
         write_cloud(cloud.with_labels(np.full(len(cloud), -1, dtype=np.int8)),
                     tmp_path / "a.cloud")
         (tmp_path / "manifest.csv").write_text("a.cloud,a,1,red\n")
-        rc = cli.main(["--config", workdir["cfg"], "evaluate",
+        rc = cli.main(["evaluate", "--config", workdir["cfg"],
                        workdir["model"], str(tmp_path / "manifest.csv"),
                        str(tmp_path / "reports")])
         assert rc == 4
@@ -550,20 +607,111 @@ class TestEvaluate:
     def test_garbled_cloud_exit_3(self, workdir, tmp_path):
         (tmp_path / "bad.cloud").write_text("FIELDS x y z\nPOINTS 1\n1 2\n")
         (tmp_path / "manifest.csv").write_text("bad.cloud,bad,1,red\n")
-        rc = cli.main(["--config", workdir["cfg"], "evaluate",
+        rc = cli.main(["evaluate", "--config", workdir["cfg"],
                        workdir["model"], str(tmp_path / "manifest.csv"),
                        str(tmp_path / "reports")])
         assert rc == 3
 
 
-class TestUndecodableInput:
-    """A file whose bytes do not decode ends with its reader's exit code."""
+def stray_byte(text):
+    """A 0xff byte, which UTF-8 never holds, at the start of line 2."""
+    return text.encode().replace(b"\n", b"\n\xff", 1)
 
-    @pytest.mark.parametrize("bad, code", [
-        ("cloud", 3), ("manifest", 3), ("model", 4), ("config", 2),
-        ("spec", 2), ("grid", 2),
-    ])
-    def test_exit_code(self, workdir, tmp_path, capsys, bad, code):
+
+def first_row(edit):
+    """Cloud mutation that rewrites the first point row (file line 3)."""
+    def mutate(text):
+        lines = text.split("\n")
+        lines[2] = edit(lines[2].split())
+        return "\n".join(lines)
+    return mutate
+
+
+def model_doc(edit):
+    """Model mutation that edits the parsed JSON document."""
+    def mutate(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return mutate
+
+
+# the exit code README documents for a bad file of each kind
+EXIT_CODES = {"cloud": 3, "manifest": 3, "model": 4, "config": 2,
+              "spec": 2, "grid": 2}
+
+# (kind, name, mutation of a valid file's text, fragment of the error line,
+# where {path} is the mutated file); each mutation makes the file invalid
+MUTATIONS = [
+    ("cloud", "not-utf8", stray_byte, "line 2: {path} is not utf-8 text"),
+    ("cloud", "short-row", first_row(lambda f: " ".join(f[:-1])),
+     "line 3: expected 7 columns, got 6"),
+    ("cloud", "nan", first_row(lambda f: " ".join(["nan"] + f[1:])),
+     "line 3: non-finite coordinate"),
+    ("cloud", "inf", first_row(lambda f: " ".join(f[:1] + ["-inf"] + f[2:])),
+     "line 3: non-finite coordinate"),
+    ("cloud", "huge-count",
+     lambda t: t.replace("POINTS 440", "POINTS 99999999999"),
+     "line 2: POINTS declares 99999999999 rows but file has 440"),
+    ("cloud", "no-header", lambda t: t.split("\n", 1)[1],
+     "line 1: expected 'FIELDS' header"),
+    ("manifest", "not-utf8", stray_byte, "{path} is not utf-8 text"),
+    ("manifest", "three-fields", lambda t: t.replace(",red", "", 1),
+     "expected 4 comma-separated fields, got 3"),
+    ("manifest", "trip-3", lambda t: t.replace(",1,red", ",3,red", 1),
+     "trip must be 1 or 2, got '3'"),
+    ("manifest", "unknown-colour", lambda t: t.replace(",red", ",blue", 1),
+     "unknown colour tag 'blue'"),
+    ("manifest", "duplicate-path",
+     lambda t: t.replace("scene-001.cloud", "scene-000.cloud", 1),
+     "duplicate path 'scene-000.cloud'"),
+    ("model", "not-ascii", lambda t: t.replace('"rbf"', '"rbf\u00e9"', 1),
+     "{path} is not ascii text"),
+    ("model", "cut-off", lambda t: t[:len(t) // 2],
+     "model file is not valid JSON"),
+    ("model", "nan", lambda t: t.replace('"c": 10.0', '"c": NaN', 1),
+     "model field 'c' holds a non-finite number"),
+    ("model", "1e400",
+     lambda t: re.sub(r'"bias": [^,\n]+', '"bias": 1e400', t),
+     "model field 'bias' holds a non-finite number"),
+    ("model", "ragged", model_doc(lambda d: d["support_vectors"][0].pop()),
+     "model field 'support_vectors' must be a list of equal-length rows"),
+    ("model", "no-bias", model_doc(lambda d: d.pop("bias")),
+     "model file is missing field 'bias'"),
+    ("config", "not-utf8", stray_byte, "{path} is not utf-8 text"),
+    ("config", "unknown-key",
+     lambda t: t.replace("max_passes = 20", "max_passes = 20\nmomentum = 1"),
+     "unknown key 'momentum' in section [train]"),
+    ("config", "nan-leaf",
+     lambda t: t.replace("leaf_size = 0.0015", "leaf_size = nan"),
+     "leaf_size must be > 0 and finite"),
+    ("config", "cut-off-header", lambda t: t[:t.index("[train]") + 3],
+     "cannot parse config {path}"),
+    ("spec", "not-utf8", stray_byte, "{path} is not utf-8 text"),
+    ("spec", "no-scenes", lambda t: t.replace("scenes = 4", "scenes = 0"),
+     "scenes must be >= 1"),
+    ("spec", "nan-hue", lambda t: t + "body_hue = nan\n",
+     "hues must lie in [0, 1]"),
+    ("spec", "unknown-key", lambda t: t + "sky = blue\n",
+     "unknown key 'sky' in section [scene]"),
+    ("grid", "not-utf8", stray_byte, "{path} is not utf-8 text"),
+    ("grid", "no-c-column", lambda t: "kernel,gamma\nlinear,\n",
+     "needs a kernel,gamma,c header"),
+    ("grid", "no-usable-row", lambda t: "kernel,gamma,c\npoly,1,10\n",
+     "has no usable rows"),
+]
+
+
+class TestMalformedInput:
+    """A valid file of each kind, made invalid by each of a fixed list of
+    mutations, ends with the kind's documented exit code, one error line and
+    no output file."""
+
+    @pytest.mark.parametrize("kind, mutate, message", [
+        pytest.param(kind, mutate, message, id=f"{kind}-{name}")
+        for kind, name, mutate, message in MUTATIONS])
+    def test_exit_code(self, workdir, tmp_path, capsys, kind, mutate,
+                       message):
         files = {"cloud": workdir["data"] / "scene-000.cloud",
                  "manifest": workdir["data"] / "manifest.csv",
                  "model": workdir["base"] / "model.json",
@@ -571,27 +719,26 @@ class TestUndecodableInput:
                  "spec": workdir["base"] / "scenes.ini",
                  "grid": tmp_path / "grid.csv"}
         files["grid"].write_text("kernel,gamma,c\nlinear,,1\n")
-        data = files[bad].read_bytes()
-        if bad == "model":   # valid UTF-8 JSON, but a model file is ASCII
-            data = data.replace(b'"rbf"', '"rbf\u00e9"'.encode("utf-8"), 1)
-        else:   # a stray 0xff byte at the start of the second line
-            cut = data.index(b"\n") + 1
-            data = data[:cut] + b"\xff" + data[cut:]
-        files[bad] = tmp_path / files[bad].name
-        files[bad].write_bytes(data)
+        data = mutate(files[kind].read_text())
+        files[kind] = tmp_path / files[kind].name
+        if isinstance(data, str):
+            data = data.encode()
+        files[kind].write_bytes(data)
+        config = ["--config", str(files["config"])]
         argv = {"spec": ["synth", files["spec"], tmp_path / "out"],
-                "manifest": ["evaluate", files["model"], files["manifest"],
-                             tmp_path / "reports"],
-                "grid": ["sweep", files["manifest"], files["grid"],
+                "manifest": ["evaluate", *config, files["model"],
+                             files["manifest"], tmp_path / "reports"],
+                "grid": ["sweep", *config, files["manifest"], files["grid"],
                          tmp_path / "sweep.csv"]}.get(
-            bad, ["predict", files["model"], files["cloud"],
-                  tmp_path / "out.cloud"])
-        assert cli.main(["--config", str(files["config"])]
-                        + [str(a) for a in argv]) == code
+            kind, ["predict", *config, files["model"], files["cloud"],
+                   tmp_path / "out.cloud"])
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([str(a) for a in argv]) == EXIT_CODES[kind]
         err = capsys.readouterr().err
-        # a cloud error names its 1-based line, here the second
-        assert f"error: {'line 2: ' * (bad == 'cloud')}{files[bad]} is not" \
-            in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert message.format(path=files[kind]) in err
+        # no output file, finished or temporary
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("cut", [0, 40, -5])
     def test_cloud_error_names_the_line(self, tmp_path, cut):
@@ -617,7 +764,7 @@ class TestSweep:
                         "rbf,not-a-number,10\n"
                         "linear,,10\n")
         report = tmp_path / "sweep.csv"
-        rc = cli.main(["--config", workdir["cfg"], "sweep",
+        rc = cli.main(["sweep", "--config", workdir["cfg"],
                        workdir["manifest"], str(grid), str(report)])
         assert rc == 0
         assert any("skipped" in r.message for r in caplog.records)
@@ -632,7 +779,7 @@ class TestSweep:
     def test_bad_grid_header_exit_2(self, workdir, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("kern,g,cost\nrbf,0.1,10\n")
-        rc = cli.main(["--config", workdir["cfg"], "sweep",
+        rc = cli.main(["sweep", "--config", workdir["cfg"],
                        workdir["manifest"], str(grid),
                        str(tmp_path / "sweep.csv")])
         assert rc == 2
@@ -648,7 +795,7 @@ class TestSweep:
         grid = tmp_path / "grid.csv"
         grid.write_text("kernel,gamma,c\nrbf,0.05,10\n")
         report = tmp_path / "sweep.csv"
-        rc = cli.main(["--config", workdir["cfg"], "sweep",
+        rc = cli.main(["sweep", "--config", workdir["cfg"],
                        str(tmp_path / "manifest.csv"), str(grid),
                        str(report)])
         assert rc == 4
@@ -662,7 +809,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match="has no usable rows"):
             cli._read_grid(grid, TrainConfig())
         report = tmp_path / "sweep.csv"
-        rc = cli.main(["--config", workdir["cfg"], "sweep",
+        rc = cli.main(["sweep", "--config", workdir["cfg"],
                        workdir["manifest"], str(grid), str(report)])
         assert rc == 2
         assert "has no usable rows" in capsys.readouterr().err
@@ -678,7 +825,7 @@ class TestSweep:
             sweep(entries, [TrainConfig()], entries,
                   load_pipeline_config(workdir["cfg"]))
         report = tmp_path / "sweep.csv"
-        rc = cli.main(["--config", workdir["cfg"], "sweep", str(manifest),
+        rc = cli.main(["sweep", "--config", workdir["cfg"], str(manifest),
                        str(grid), str(report)])
         assert rc == 4
         assert message in capsys.readouterr().err
@@ -707,7 +854,7 @@ class TestSweep:
         trained = record_calls(monkeypatch, evaluation, "train_svm")
         splits = record_calls(monkeypatch, cli, "split_dataset")
         report = tmp_path / "sweep.csv"
-        rc = cli.main(["--config", str(cfg), "sweep", workdir["manifest"],
+        rc = cli.main(["sweep", "--config", str(cfg), workdir["manifest"],
                        str(grid), str(report)] + seed_flag)
         assert rc == 0
         assert [split.seed for _manifest, split in splits] == [seed]
