@@ -230,7 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # argparse would take the flag's value for the command and name that
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"{argv[0].split('=')[0]} comes before the command: "
+                     "flags go after the command name")
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,21 +178,27 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     support vectors stay separate: a summed coefficient can exceed C.
 
     The trainer reads rows of K, not Q.  Row t is computed by _kernel_row on
-    first use and kept in an LRU cache, one lazily touched (slots, u) float64
-    array with slots = min(u, max(2, _ROW_CACHE_BYTES // 8u)), u the
-    variables: memory stays O(_ROW_CACHE_BYTES + n d) at any n, and
-    meta["kernel_rows"] counts the rows computed, recomputations after
-    eviction included.  Instead of g it keeps -y * g in two masked buffers:
-    up_vals holds it on I_up and -inf elsewhere, low_vals on I_low and +inf
-    elsewhere, so the working pair is argmax(up_vals), argmin(low_vals).
-    Each iteration adds K[i] (-y_i da_i) + K[j] (-y_j da_j) to both buffers
-    in place (the infinities stay) and re-masks only entries i and j, from
-    their new values summed again from the kernel entries already read, in
-    the adds' order.  Multiplying by +-1 is exact, so every value equals the
-    one a loop over Q and g computes.  The loop's scalars (alpha, y, the
-    caps, m_up, m_low and the pair's kernel entries) are Python floats:
-    the same IEEE double arithmetic as numpy scalars, at less cost per
-    operation.
+    first use into a slot of one lazily touched (slots, u) float64 array,
+    slots = min(u, max(2, _ROW_CACHE_BYTES // 8u)), u the variables, so
+    memory stays O(_ROW_CACHE_BYTES + n d) at any n; K[t, t] is recorded
+    then.  A list maps each variable to a view of its cached row, or None,
+    so a hit is one list index.  Every fetch stamps its variable with a
+    count unique to it and increasing, and a miss with every slot taken
+    evicts the slot whose variable holds the lowest stamp, found with one
+    argmin: an exact LRU cache.  meta["kernel_rows"] counts the rows
+    computed, recomputations after eviction included.  Instead of g it
+    keeps -y * g in two masked buffers: up_vals holds it on I_up and -inf
+    elsewhere, low_vals on I_low and +inf elsewhere, so the working pair is
+    argmax(up_vals), argmin(low_vals).  Each iteration adds K[i] (-y_i
+    da_i) + K[j] (-y_j da_j) to both buffers in place (the infinities
+    stay).  An entry of a set the variable stays in then holds its new
+    value, so re-masking writes only where i or j changes sets: an
+    infinity where it leaves one, and its new value, copied from the other
+    buffer, where it enters one.  Multiplying by +-1 is exact, so every
+    value equals the one a loop over Q and g computes.  The loop's scalars
+    (alpha, y, the caps, m_up, m_low and the pair's kernel entries) are
+    Python floats: the same IEEE double arithmetic as numpy scalars, at
+    less cost per operation.
     """
     x = np.asarray(features.values, dtype=np.float64)
     labels = np.asarray(features.labels)
@@ -241,22 +246,29 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
     slots = min(u, max(2, _ROW_CACHE_BYTES // (8 * len(points))))
     # one block: rows allocated one by one stay in the heap (sweep +14 MB RSS)
     cache = np.empty((slots, len(points)))
-    slot_of = OrderedDict()   # variable -> cache slot, least recently used first
+    rows = [None] * u     # variable -> its row of K, a view into cache, or None
+    diag = [0.0] * u      # variable t -> K[t, t], read when row t is computed
+    # an array: an eviction takes one argmin; scanning a list of stamps made
+    # a training with a small cache slower than the OrderedDict did
+    used = np.zeros(u, dtype=np.int64)   # variable -> stamp of its last fetch
+    owner = np.empty(slots, dtype=np.intp)   # slot -> the variable it holds
     kernel_rows = 0
 
-    def kernel_row(t):
+    def compute_row(t):
+        """Row t into the next free slot, or else into the least recently
+        used one: the slot whose variable has the lowest stamp."""
         nonlocal kernel_rows
-        slot = slot_of.get(t)
-        if slot is None:
-            slot = len(slot_of) if len(slot_of) < slots \
-                else slot_of.popitem(last=False)[1]
-            _kernel_row(points, sq, points[t], sq[t], config.kernel,
-                        cache[slot])
-            kernel_rows += 1
-            slot_of[t] = slot
+        if kernel_rows < slots:   # no eviction before every slot is taken
+            slot = kernel_rows
         else:
-            slot_of.move_to_end(t)
-        return cache[slot, :u]
+            slot = int(used[owner].argmin())
+            rows[owner[slot]] = None
+        owner[slot] = t
+        row = rows[t] = _kernel_row(points, sq, points[t], sq[t],
+                                    config.kernel, cache[slot])[:u]
+        diag[t] = row.item(t)
+        kernel_rows += 1
+        return row
 
     alpha = [0.0] * u
     yl = yv.tolist()
@@ -287,10 +299,17 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
 
         yi, yj = yl[i], yl[j]
         gi, gj = -yi * m_up, -yj * m_low
-        ki = kernel_row(i)
-        kj = kernel_row(j)   # slots >= 2, so fetching row j keeps row i
-        kii, kij, kji, kjj = ki.item(i), ki.item(j), kj.item(i), kj.item(j)
-        quad = kii + kjj - 2.0 * kij
+        # i and j get the two stamps of this iteration, i's first, so
+        # fetching row j never evicts row i (slots >= 2)
+        ki = rows[i]
+        if ki is None:
+            ki = compute_row(i)
+        used[i] = 2 * it
+        kj = rows[j]
+        if kj is None:
+            kj = compute_row(j)
+        used[j] = 2 * it + 1
+        quad = diag[i] + diag[j] - 2.0 * ki.item(j)
         if quad <= 0.0:
             quad = tau
         ai_old, aj_old = alpha[i], alpha[j]
@@ -324,22 +343,33 @@ def train_svm(features: FeatureMatrix, config: TrainConfig) -> SvmModel:
             elif ai < 0:
                 ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        si, sj = -yi * (ai - ai_old), -yj * (aj - aj_old)
-        scale_i[()], scale_j[()] = si, sj
-        np.multiply(ki, scale_i, out=step)
-        np.multiply(kj, scale_j, out=step_j)
+        scale_i[()] = -yi * (ai - ai_old)
+        scale_j[()] = -yj * (aj - aj_old)
+        np.multiply(ki, scale_i, step)
+        np.multiply(kj, scale_j, step_j)
         step += step_j
         up_vals += step
         low_vals += step
-        # i was in I_up and j in I_low, so their buffers held m_up and m_low
-        # and now hold these sums, each rounded as the adds above round it;
-        # each re-enters the sets its new alpha puts it in
-        for t, a, v in ((i, ai, m_up + (kii * si + kji * sj)),
-                        (j, aj, m_low + (kij * si + kjj * sj))):
-            in_up, in_low = (a < bound[t], a > 0) if yl[t] > 0 \
-                else (a > 0, a < bound[t])
-            up_vals[t] = v if in_up else -np.inf
-            low_vals[t] = v if in_low else np.inf
+        # i was in I_up and j in I_low, so up_vals[i] and low_vals[j] now
+        # hold their new -y * g.  An entry of a set the variable stays in
+        # holds it too, and one of a set it stays out of holds an infinity;
+        # only a variable that leaves or enters a set needs a write
+        if yi > 0:
+            up_now, low_was, low_now = ai < ci, ai_old > 0, ai > 0
+        else:
+            up_now, low_was, low_now = ai > 0, ai_old < ci, ai < ci
+        if low_now != low_was:
+            low_vals[i] = up_vals.item(i) if low_now else np.inf
+        if not up_now:
+            up_vals[i] = -np.inf
+        if yj > 0:
+            low_now, up_was, up_now = aj > 0, aj_old < cj, aj < cj
+        else:
+            low_now, up_was, up_now = aj < cj, aj_old > 0, aj > 0
+        if up_now != up_was:
+            up_vals[j] = low_vals.item(j) if up_now else -np.inf
+        if not low_now:
+            low_vals[j] = np.inf
         it += 1
     if not converged:
         log.warning("SMO stopped at max_passes=%d after %d iterations "

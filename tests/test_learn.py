@@ -639,6 +639,72 @@ def hsv_like_problem(n=1500, seed=5):
     return x, labels.astype(np.int8)
 
 
+def wide_problem(n=300, seed=11):
+    """36 columns, no row repeated, labels from the first column plus noise:
+    some rows lie well inside their class, some overlap the other."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 36))
+    labels = x[:, 0] + 0.15 * rng.normal(size=n) > 0
+    return x, labels.astype(np.int8)
+
+
+class MaskedBuffer(np.ndarray):
+    """An SMO buffer that logs the index its argmax or argmin returns and
+    each entry written to it.  Arrays derived from it log nothing."""
+    name = log = None
+
+    def note(self, event):
+        if self.log is not None:
+            self.log.append(event)
+
+    def argmax(self, *args, **kwargs):
+        t = super().argmax(*args, **kwargs)
+        self.note(("i", int(t)))
+        return t
+
+    def argmin(self, *args, **kwargs):
+        t = super().argmin(*args, **kwargs)
+        self.note(("j", int(t)))
+        return t
+
+    def __setitem__(self, key, value):
+        self.note((self.name, int(key), float(value)))
+        super().__setitem__(key, value)
+
+
+class LoggingNumpy:
+    """numpy, but np.where with an infinite fill, as train_svm builds its
+    up (-inf) and low (+inf) buffers, returns a MaskedBuffer."""
+
+    def __init__(self):
+        self.log = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def where(self, cond, *values):
+        out = np.where(cond, *values)
+        fill = values[-1] if values else None
+        if isinstance(fill, float) and math.isinf(fill):
+            out = out.view(MaskedBuffer)
+            out.name, out.log = ("up" if fill < 0 else "low"), self.log
+        return out
+
+
+def set_changes(log):
+    """(end of the pair, buffer, enters or leaves) of each masked write."""
+    pair, found = {}, set()
+    for event in log:
+        if len(event) == 2:
+            pair[event[0]] = event[1]
+            continue
+        name, t, value = event
+        assert t in (pair["i"], pair["j"])
+        found.add(("i" if t == pair["i"] else "j", name,
+                   "leaves" if math.isinf(value) else "enters"))
+    return found
+
+
 class TestSmoAgainstFrozenLoop:
     """train_svm against the frozen distinct-variable loop, bit for bit."""
 
@@ -697,6 +763,44 @@ class TestSmoAgainstFrozenLoop:
                                                  monkeypatch)
         # evicted rows are computed again
         assert model.meta["kernel_rows"] > distinct
+
+    # many variables end at 0 or at their cap, so variables enter and leave
+    # the index sets at both ends of the working pair; max_passes 1 stops
+    # these C = 1 runs before they converge
+    @pytest.mark.parametrize("problem, kernel, c, max_passes", [
+        ("hsv", KernelSpec("rbf", 0.5), 0.05, 100),
+        ("hsv", KernelSpec("rbf", 0.5), 1.0, 1),
+        ("hsv", KernelSpec("linear", None), 0.05, 100),
+        ("hsv", KernelSpec("linear", None), 1.0, 1),
+        ("wide", KernelSpec("rbf", 0.02), 0.05, 100),
+        ("wide", KernelSpec("rbf", 0.02), 1.0, 1),
+        ("wide", KernelSpec("linear", None), 0.05, 100),
+        ("wide", KernelSpec("linear", None), 1.0, 1),
+    ])
+    @pytest.mark.parametrize("budget", ["default", "two-rows"])
+    def test_bound_heavy(self, problem, kernel, c, max_passes, budget,
+                         monkeypatch):
+        x, labels = hsv_like_problem() if problem == "hsv" \
+            else wide_problem()
+        config = TrainConfig(kernel=kernel, c=c, max_passes=max_passes,
+                             feature_set="hsv" if problem == "hsv" else "full")
+        if budget == "two-rows":
+            monkeypatch.setattr(learn, "_ROW_CACHE_BYTES", 1)
+        logging_np = LoggingNumpy()
+        monkeypatch.setattr(learn, "np", logging_np)
+        model, ref = self.assert_matches_frozen(x, labels, config,
+                                                monkeypatch)
+        assert ref.converged is (max_passes > 1)
+        assert np.any(ref.totals == 0.0)
+        assert np.any(ref.totals == ref.cap)
+        assert np.any((ref.totals > 0.0) & (ref.totals < ref.cap))
+        # the step moves alpha_i by +y_i t and alpha_j by -y_j t, t >= 0:
+        # i can only leave I_up and enter I_low, j leave I_low and enter I_up
+        assert set_changes(logging_np.log) >= {
+            ("i", "up", "leaves"), ("i", "low", "enters"),
+            ("j", "low", "leaves"), ("j", "up", "enters")}
+        if budget == "two-rows":
+            assert model.meta["kernel_rows"] > model.meta["distinct_rows"]
 
 
 def while_loop_calls(source, names=("argmax", "argmin", "where")):
